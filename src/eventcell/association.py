@@ -33,7 +33,7 @@ from .errors import (
 )
 from .geo import angle_offset_deg, haversine_km, initial_bearing_deg
 from .ingest import SocialEvent, normalize_text
-from .network import Cell, KpiSeries, Site, normalize_periodic
+from .network import Cell, KpiSeries, Site, normalize_periodic, periodic_kind
 
 logger = logging.getLogger(__name__)
 
@@ -148,6 +148,7 @@ class CauseCandidate:
     flagged: bool
     n_undefined: int
     reports: tuple[VenueImpactReport, ...]
+    close_sites: tuple[tuple[Site, float], ...]  # of the first event, nearest first
 
 
 def cell_bearing_offset(cell: Cell, site: Site, point: tuple[float, float]) -> float:
@@ -357,21 +358,15 @@ def _prepare_series(
         return own
     prepared = []
     for series in own:
-        hint = normalization
-        if normalization == "auto":
-            span = len(series.values) * series.period
-            if span >= timedelta(hours=336):
-                hint = "hour_of_week"
-            elif span >= timedelta(hours=48):
-                hint = "hour_of_day"
-            else:
-                logger.warning(
-                    "series %s/%s too short for a periodic baseline; correlating raw",
-                    series.cell_id, series.metric,
-                )
-                prepared.append(series)
-                continue
-        prepared.append(normalize_periodic(series, hint))
+        kind = periodic_kind(series) if normalization == "auto" else normalization
+        if kind is None:
+            logger.warning(
+                "series %s/%s too short for a periodic baseline; correlating raw",
+                series.cell_id, series.metric,
+            )
+            prepared.append(series)
+        else:
+            prepared.append(normalize_periodic(series, kind))
     return prepared
 
 
@@ -403,8 +398,7 @@ def identify_causes(
         raise UnknownCell(f"site {degraded_cell.site_id!r} of cell {degraded_cell.cell_id!r} not in topology")
     series = _prepare_series(kpis, degraded_cell.cell_id, normalization)
 
-    half_width = degraded_cell.hor_width / 2.0
-    by_venue: dict[str, list[SocialEvent]] = defaultdict(list)
+    by_venue: dict[str, list] = defaultdict(list)  # venue key -> [(event, close sites)]
     for event in events:
         if not event.has_coordinates():
             continue
@@ -412,16 +406,16 @@ def identify_causes(
         if not any(s.site_id == site.site_id for s, _ in close):
             continue
         try:
-            offset = cell_bearing_offset(degraded_cell, site, (event.lat, event.lon))
+            if not filter_by_bearing([degraded_cell], site, (event.lat, event.lon)):
+                continue
         except DegenerateGeometry:
             continue  # bearing undefined at the site itself
-        if offset >= half_width:
-            continue
-        by_venue[venue_key_for(event)].append(event)
+        by_venue[venue_key_for(event)].append((event, close))
 
     candidates = []
     for key in sorted(by_venue):
-        venue_events = sorted(by_venue[key], key=lambda e: (e.start_time, e.event_id))
+        hosted = sorted(by_venue[key], key=lambda pair: (pair[0].start_time, pair[0].event_id))
+        venue_events = [event for event, _ in hosted]
         correlations: list[EventCellCorrelation] = []
         for event in venue_events:
             try:
@@ -449,6 +443,7 @@ def identify_causes(
                 flagged=any(score > r_threshold for score in metric_scores.values()),
                 n_undefined=sum(r.n_undefined for r in reports),
                 reports=tuple(reports),
+                close_sites=tuple(hosted[0][1]),
             )
         )
     candidates.sort(key=lambda c: (-c.best_score, c.venue_key))

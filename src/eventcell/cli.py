@@ -26,7 +26,6 @@ from .errors import (
     ConfigError,
     DegenerateGeometry,
     EventcellError,
-    MalformedPayload,
     SourceUnreachable,
     UnknownCell,
 )
@@ -56,9 +55,6 @@ class RunConfig:
     topology_path: Optional[Path]
     kpi_path: Optional[Path]
     output_dir: Optional[Path]
-    base_dir: Path
-    geo_scope: ingest.GeoScope
-    time_scope: ingest.TimeScope
 
 
 def _require(mapping: dict, key: str, context: str):
@@ -168,7 +164,7 @@ def load_config(path: str | Path) -> RunConfig:
     if stat not in association.AGGREGATE_STATS:
         raise ConfigError(f"unknown aggregate_stat {stat!r}")
     normalization = raw.get("normalization", "auto")
-    if normalization not in ("auto", "hour_of_week", "hour_of_day", "none"):
+    if normalization not in ("auto", "none", *network.CYCLE_HOURS):
         raise ConfigError(f"unknown normalization {normalization!r}")
 
     fusion_raw = raw.get("fusion", {})
@@ -203,9 +199,6 @@ def load_config(path: str | Path) -> RunConfig:
         topology_path=topology_path,
         kpi_path=kpi_path,
         output_dir=_resolve("output"),
-        base_dir=base,
-        geo_scope=geo_scope,
-        time_scope=time_scope,
     )
 
 
@@ -214,29 +207,16 @@ def load_config(path: str | Path) -> RunConfig:
 # ---------------------------------------------------------------------------
 
 def _event_fields(event: ingest.SocialEvent) -> dict:
-    record: dict = {
+    return {
         "NAME": event.name,
         "START_TIME": format_rfc3339(event.start_time),
         "END_TIME": format_rfc3339(event.end_time) if event.end_time else None,
         "VENUE": event.venue,
-        "ADDRESS": None,
+        "ADDRESS": ingest.address_record(event.address),
         "LAT": event.lat,
         "LON": event.lon,
         "EVENT_ID": event.event_id,
     }
-    if event.address is not None and not event.address.is_empty():
-        record["ADDRESS"] = {
-            key: value
-            for key, value in (
-                ("STREET", event.address.street),
-                ("CITY", event.address.city),
-                ("REGION", event.address.region),
-                ("COUNTRY", event.address.country),
-                ("TEXT", event.address.text),
-            )
-            if value is not None
-        }
-    return record
 
 
 def _association_record(
@@ -266,8 +246,7 @@ def _association_record(
     return record
 
 
-def _cause_record(rank: int, candidate: association.CauseCandidate,
-                  events_by_id: dict, sites_by_key: dict) -> dict:
+def _cause_record(rank: int, candidate: association.CauseCandidate, events_by_id: dict) -> dict:
     representative = events_by_id.get(candidate.event_ids[0])
     record = _event_fields(representative) if representative else {}
     record["rank"] = rank
@@ -277,7 +256,10 @@ def _cause_record(rank: int, candidate: association.CauseCandidate,
     record["EVENT_IDS"] = list(candidate.event_ids)
     record["FLAGGED"] = candidate.flagged
     record["N_UNDEFINED"] = candidate.n_undefined
-    record["GEOGRAPHICAL_CLOSE_SITES"] = sites_by_key.get(candidate.venue_key, [])
+    record["GEOGRAPHICAL_CLOSE_SITES"] = [
+        {"SITE_ID": site.site_id, "DISTANCE_KM": round(distance, 6)}
+        for site, distance in candidate.close_sites
+    ]
     record["CORRELATED_CELLS"] = [
         {
             "CELL_ID": report.cell_id,
@@ -354,7 +336,7 @@ def cmd_ingest(config_path: str, out: Optional[str]):
     failures = 0
     for source in config.sources:
         try:
-            raw_records = ingest.fetch_raw(source, config.geo_scope, config.time_scope)
+            raw_records = ingest.fetch_raw(source, config.filter.geo, config.filter.time)
         except SourceUnreachable as exc:
             failures += 1
             logger.warning("%s", exc)
@@ -501,16 +483,8 @@ def cmd_analyze(config_path: str, cell_id: str, events_path: Optional[str],
     )
 
     events_by_id = {e.event_id: e for e in events}
-    sites_by_key: dict[str, list] = {}
-    for candidate in candidates:
-        representative = events_by_id[candidate.event_ids[0]]
-        close = association.associate_geographic(representative, sites, config.geo_assoc)
-        sites_by_key[candidate.venue_key] = [
-            {"SITE_ID": s.site_id, "DISTANCE_KM": round(d, 6)} for s, d in close
-        ]
-
     records = [
-        _cause_record(rank, candidate, events_by_id, sites_by_key)
+        _cause_record(rank, candidate, events_by_id)
         for rank, candidate in enumerate(candidates, start=1)
     ]
     report_path = out_dir / "report.json"
@@ -631,7 +605,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (SourceUnreachable, OSError) as exc:
         click.echo(f"error: {exc}", err=True)
         return EXIT_IO
-    except (EventcellError, MalformedPayload) as exc:
+    except EventcellError as exc:
         click.echo(f"error: {exc}", err=True)
         return EXIT_CONFIG
     return EXIT_OK

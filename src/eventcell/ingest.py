@@ -580,6 +580,15 @@ def _merge_group(members: list[SocialEvent], priorities: Mapping[str, int]) -> S
 # Canonical event file (newline-delimited JSON, RFC 3339 UTC timestamps)
 # ---------------------------------------------------------------------------
 
+def address_record(address: Optional[Address]) -> Optional[dict[str, str]]:
+    """The canonical ADDRESS object: the parts that are set, or None when none is."""
+    if address is None:
+        return None
+    parts = (("STREET", address.street), ("CITY", address.city), ("REGION", address.region),
+             ("COUNTRY", address.country), ("TEXT", address.text))
+    return {key: value for key, value in parts if value is not None} or None
+
+
 def event_to_record(event: SocialEvent) -> dict:
     """Serialize to the canonical uppercase-keyed JSON record. Absent fields are omitted."""
     record: dict[str, object] = {
@@ -594,14 +603,9 @@ def event_to_record(event: SocialEvent) -> dict:
         record["LON"] = event.lon
     if event.venue is not None:
         record["VENUE"] = event.venue
-    if event.address is not None and not event.address.is_empty():
-        addr: dict[str, str] = {}
-        for key, value in (("STREET", event.address.street), ("CITY", event.address.city),
-                           ("REGION", event.address.region), ("COUNTRY", event.address.country),
-                           ("TEXT", event.address.text)):
-            if value is not None:
-                addr[key] = value
-        record["ADDRESS"] = addr
+    address = address_record(event.address)
+    if address is not None:
+        record["ADDRESS"] = address
     if event.category is not None:
         record["CATEGORY"] = event.category
     if event.popularity is not None:

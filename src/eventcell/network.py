@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass
 from datetime import datetime, timedelta
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -28,8 +28,11 @@ from .timeutil import UTC, format_rfc3339, parse_rfc3339
 TOPOLOGY_COLUMNS = ("cell_id", "site_id", "lat", "lon", "azimuth", "hor_width", "technology")
 KPI_COLUMNS = ("cell_id", "metric", "timestamp", "value")
 
-HOURS_PER_WEEK = 168
-HOURS_PER_DAY = 24
+# Periodic slot kinds and their cycle lengths, in hours.
+CYCLE_HOURS = {"hour_of_week": 168, "hour_of_day": 24}
+_SLOT_ORIGIN = datetime(1970, 1, 5, tzinfo=UTC)  # a Monday, 00:00 UTC
+_MICROSECOND = timedelta(microseconds=1)
+_HOUR_US = 3_600_000_000
 
 
 @dataclass(frozen=True)
@@ -114,22 +117,20 @@ class NormalizedSeries(KpiSeries):
     baseline: np.ndarray = None  # type: ignore[assignment]
     slot_kind: str = "hour_of_week"
 
-    def slot_of(self, n: int) -> int:
-        return slot_index(self.sample_time(n), self.slot_kind)
-
     def reconstruct(self) -> np.ndarray:
         """Residuals plus baseline: recovers the original sample values."""
-        slots = np.array([self.slot_of(n) for n in range(len(self.values))])
+        slots = slot_indices(self.epoch0, self.period, len(self.values), self.slot_kind)
         return self.values + self.baseline[slots]
 
 
-def slot_index(ts: datetime, kind: str) -> int:
-    ts = ts.astimezone(UTC)
-    if kind == "hour_of_week":
-        return ts.weekday() * 24 + ts.hour
-    if kind == "hour_of_day":
-        return ts.hour
-    raise InvariantError(f"unknown slot kind {kind!r}")
+def slot_indices(epoch0: datetime, period: timedelta, n: int, kind: str) -> np.ndarray:
+    """Slot of each sample time ``epoch0 + k * period``, k < n: the UTC hour of
+    the week (Monday 00:00 is slot 0) or of the day, by ``kind``."""
+    if kind not in CYCLE_HOURS:
+        raise InvariantError(f"unknown slot kind {kind!r}")
+    first = (epoch0 - _SLOT_ORIGIN) // _MICROSECOND
+    offsets = first + (period // _MICROSECOND) * np.arange(n, dtype=np.int64)
+    return (offsets // _HOUR_US) % CYCLE_HOURS[kind]
 
 
 # ---------------------------------------------------------------------------
@@ -279,6 +280,15 @@ def write_kpis(series_list: Iterable[KpiSeries], path: str | Path) -> None:
 # Periodic normalization
 # ---------------------------------------------------------------------------
 
+def _covers_two_cycles(series: KpiSeries, kind: str) -> bool:
+    return len(series.values) * series.period >= timedelta(hours=2 * CYCLE_HOURS[kind])
+
+
+def periodic_kind(series: KpiSeries) -> Optional[str]:
+    """The longest slot kind with two full cycles of history, else None."""
+    return next((kind for kind in CYCLE_HOURS if _covers_two_cycles(series, kind)), None)
+
+
 def normalize_periodic(series: KpiSeries, period_hint: str = "hour_of_week") -> NormalizedSeries:
     """Subtract a per-slot median baseline (hour-of-week or hour-of-day).
 
@@ -286,18 +296,14 @@ def normalize_periodic(series: KpiSeries, period_hint: str = "hour_of_week") -> 
     hunts for, so those survive into the residuals. Requires at least two
     full cycles of history.
     """
-    cycle_hours = HOURS_PER_WEEK if period_hint == "hour_of_week" else HOURS_PER_DAY
-    if period_hint not in ("hour_of_week", "hour_of_day"):
-        raise InvariantError(f"unknown period hint {period_hint!r}")
-    span = len(series.values) * series.period
-    if span < timedelta(hours=2 * cycle_hours):
+    slots = slot_indices(series.epoch0, series.period, len(series.values), period_hint)
+    if not _covers_two_cycles(series, period_hint):
         raise InsufficientHistory(
-            f"{series.cell_id}/{series.metric}: {span} covers less than two "
-            f"{period_hint} cycles"
+            f"{series.cell_id}/{series.metric}: {len(series.values) * series.period} "
+            f"covers less than two {period_hint} cycles"
         )
-    slots = np.array([slot_index(series.sample_time(n), period_hint) for n in range(len(series.values))])
-    baseline = np.full(cycle_hours, np.nan)
-    for slot in range(cycle_hours):
+    baseline = np.full(CYCLE_HOURS[period_hint], np.nan)
+    for slot in range(len(baseline)):
         members = series.values[(slots == slot) & ~np.isnan(series.values)]
         if members.size:
             baseline[slot] = float(np.median(members))

@@ -21,7 +21,7 @@ from .errors import OutOfRange, SpecError
 from .fsutil import atomic_write_text
 from .geo import destination_point, haversine_km
 from .ingest import BoundingBox, SocialEvent, SourceConfig, parse_record
-from .network import Cell, KpiSeries, Site, save_topology, write_kpis
+from .network import Cell, KpiSeries, Site, save_topology, slot_indices, write_kpis
 from .association import build_eaw, filter_by_bearing, social_indicator
 from .timeutil import UTC, format_rfc3339
 
@@ -394,7 +394,7 @@ def build(spec: ScenarioSpec) -> FixtureBundle:
                 bump_by_cell_metric[key] = bump_by_cell_metric.get(key, 0.0) + bump
 
     series: list[KpiSeries] = []
-    hours = np.array([(spec.start + n * period).hour for n in range(n_samples)])
+    hours = slot_indices(spec.start, period, n_samples, "hour_of_day")
     for cell in sorted(cells, key=lambda c: c.cell_id):
         for metric in spec.metrics:
             values = np.asarray(metric.daily_profile, dtype=float)[hours].copy()
@@ -595,7 +595,7 @@ def table1_fixture() -> FixtureBundle:
     events = [parse_record(r, source) for r in records]
     event_by_raw = {e.raw_id: e for e in events}
 
-    hours = np.array([(start + n * period).hour for n in range(n_samples)])
+    hours = slot_indices(start, period, n_samples, "hour_of_day")
     values: dict[tuple[str, str], np.ndarray] = {}
     for cell in cells:
         for metric in _T1_METRICS:
