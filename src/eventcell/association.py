@@ -254,14 +254,16 @@ def _pearson_with_count(x, y) -> tuple[Optional[float], int]:
     denom = math.sqrt(float(dx @ dx) * float(dy @ dy))
     if denom == 0.0:
         return None, n
-    return float(np.clip((dx @ dy) / denom, -1.0, 1.0)), n
+    r = float(np.clip((dx @ dy) / denom, -1.0, 1.0))
+    return (r if math.isfinite(r) else None), n
 
 
 def pearson(x, y) -> Optional[float]:
     """Sample Pearson r over pairs where both sides are present.
 
-    Undefined (None) with fewer than 3 usable pairs or when either side has
-    zero variance; never coerced to a number.
+    Undefined (None) with fewer than 3 usable pairs, when either side has
+    zero variance, or when the arithmetic overflows; never coerced to a
+    number.
     """
     return _pearson_with_count(x, y)[0]
 
@@ -409,7 +411,7 @@ def identify_causes(
             if not filter_by_bearing([degraded_cell], site, (event.lat, event.lon)):
                 continue
         except DegenerateGeometry:
-            continue  # bearing undefined at the site itself
+            continue  # no defined bearing from the site
         by_venue[venue_key_for(event)].append((event, close))
 
     candidates = []

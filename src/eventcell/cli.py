@@ -240,7 +240,7 @@ def _association_record(
                 for cell in sorted(cells_by_site.get(site.site_id, []), key=lambda c: c.cell_id)
             ]
         except DegenerateGeometry:
-            pass  # bearing undefined at the site itself: no CELLS entry
+            pass  # no defined bearing from the site: no CELLS entry
         site_entries.append(entry)
     record["GEOGRAPHICAL_CLOSE_SITES"] = site_entries
     return record
@@ -281,7 +281,8 @@ def _write_json_report(payload, path: Path, stamp: bool) -> None:
     document = {"records": payload}
     if stamp:
         document["GENERATED_AT"] = format_rfc3339(datetime.now(tz=UTC))
-    atomic_write_text(path, json.dumps(document, indent=2, ensure_ascii=False) + "\n")
+    text = json.dumps(document, indent=2, ensure_ascii=False, allow_nan=False)
+    atomic_write_text(path, text + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -511,7 +512,7 @@ def cmd_analyze(config_path: str, cell_id: str, events_path: Optional[str],
         "top_venue": candidates[0].venue_label if candidates else None,
         "top_score": round(candidates[0].best_score, 6) if candidates else None,
         "report": str(report_path),
-    }))
+    }, allow_nan=False))
 
 
 @cli.command("simulate")

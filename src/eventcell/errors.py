@@ -50,12 +50,13 @@ class InsufficientHistory(EventcellError):
 
 
 class DegenerateGeometry(EventcellError):
-    """A geometric operation received coincident points.
+    """A geometric operation received points between which it is undefined.
 
-    ``geo.initial_bearing_deg`` counts two points as coincident when both
-    components of the direction between them are zero in floating point:
-    identical points, or points whose coordinate differences are subnormal
-    and underflow.
+    ``geo.initial_bearing_deg`` raises it from a pole, between exact
+    antipodes, and for coincident points: those where both components of
+    the direction between them are zero in floating point, i.e. identical
+    points or points whose coordinate differences are subnormal and
+    underflow.
     """
 
 

@@ -33,8 +33,9 @@ def initial_bearing_deg(frm: Point, to: Point) -> float:
     textbook ``cos lat1 sin lat2 - sin lat1 cos lat2 cos dlon`` does not
     cancel, so points one ulp apart still get the right bearing.
 
-    Raises ``DegenerateGeometry`` when both components of the direction are
-    zero: for identical points, and for points so close that both components
+    Raises ``DegenerateGeometry`` where no bearing is defined: from a pole,
+    between exact antipodes, and when both components of the direction are
+    zero, for identical points and for points so close that both components
     underflow, which off the poles needs both coordinate differences to be
     subnormal (below ``sys.float_info.min``), e.g. ``(0, 0) -> (0, 5e-324)``.
     """
@@ -44,7 +45,8 @@ def initial_bearing_deg(frm: Point, to: Point) -> float:
     half = math.sin(dlon / 2.0)
     y = math.sin(dlon) * cos_lat2
     x = math.sin(dlat) + 2.0 * math.sin(math.radians(frm[0])) * cos_lat2 * (half * half)
-    if x == 0.0 and y == 0.0:
+    antipodal = to[0] == -frm[0] and (to[1] - frm[1]) % 360.0 == 180.0
+    if abs(frm[0]) == 90.0 or antipodal or (x == 0.0 and y == 0.0):
         raise DegenerateGeometry(f"no defined bearing from {frm} to {to}")
     return math.degrees(math.atan2(y, x)) % 360.0
 

@@ -161,9 +161,12 @@ def _csv_rows(path: str | Path, columns: Sequence[str]):
 
 def _row_float(row: dict, key: str, path, lineno: int) -> float:
     try:
-        return float(row[key])
+        value = float(row[key])
     except ValueError:
         raise InvariantError(f"{path} line {lineno}: {key} is not numeric: {row[key]!r}") from None
+    if not math.isfinite(value):
+        raise InvariantError(f"{path} line {lineno}: {key} is not finite: {row[key]!r}")
+    return value
 
 
 def load_topology(path: str | Path) -> tuple[list[Site], list[Cell]]:
@@ -226,7 +229,8 @@ def load_kpis(path: str | Path) -> list[KpiSeries]:
 
     The sampling period is inferred as the minimum positive timestamp delta;
     all other deltas must be integer multiples of it. Missing rows (and rows
-    with an empty value) become NaN samples.
+    with an empty value) become NaN samples; any other value must be a
+    finite number.
     """
     samples: dict[tuple[str, str], dict[datetime, float]] = {}
     for lineno, row in _csv_rows(path, KPI_COLUMNS):

@@ -405,9 +405,19 @@ def build(spec: ScenarioSpec) -> FixtureBundle:
                 values += metric.noise_sigma * rng.normals(n_samples)
             series.append(KpiSeries(cell.cell_id, metric.name, spec.start, period, values))
 
-    config = _run_config(spec.area, spec.start, end, [m.name for m in spec.metrics])
+    # The filter box covers every injected event, so filtering never drops one.
+    injected_points = [(r["lat"], r["lon"]) for r in records[: len(spec.injected)]]
+    config = _run_config(_covering_box(spec.area, injected_points), spec.start, end,
+                         [m.name for m in spec.metrics])
     ground_truth = {"seed": spec.seed, "events": truth_entries}
     return FixtureBundle(records, events, sites, cells, series, ground_truth, config, source)
+
+
+def _covering_box(area: BoundingBox, points: Sequence[tuple[float, float]]) -> BoundingBox:
+    """Smallest box that holds ``area`` and every point."""
+    lats, lons = [p[0] for p in points], [p[1] for p in points]
+    return BoundingBox(min([area.lat_min, *lats]), max([area.lat_max, *lats]),
+                       min([area.lon_min, *lons]), max([area.lon_max, *lons]))
 
 
 def _place_far(rng: CounterRng, spec: ScenarioSpec, sites: Sequence[Site]) -> tuple[float, float]:

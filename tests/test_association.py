@@ -271,6 +271,9 @@ def test_pearson_undefined_cases():
     assert pearson([1.0, 1.0, 1.0, 1.0], [1.0, 2.0, 3.0, 4.0]) is None  # zero variance
     assert pearson([1.0, 2.0], [2.0, 4.0]) is None  # fewer than 3 pairs
     assert pearson([], []) is None
+    huge = [1e308, -1e308, 1e308]
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert pearson(huge, huge) is None  # overflows to a non-finite r
 
 
 def test_pearson_nan_pairs_excluded():

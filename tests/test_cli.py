@@ -263,5 +263,22 @@ def test_analyze_no_candidates_ok(tmp_path, capsys):
     assert summary["n_candidates"] >= 0
 
 
+def test_analyze_rejects_non_finite_kpi_value(tmp_path, capsys):
+    # one CELL_1A sample inside the causal event's window set to inf
+    assert main(["simulate", "--preset", "detection", "--seed", "7", "--out", str(tmp_path)]) == 0
+    kpis = tmp_path / "kpis.csv"
+    lines = kpis.read_text(encoding="utf-8").splitlines(keepends=True)
+    row = "CELL_1A,NUM_DROPS,2017-03-05T20:00:00Z,"
+    lineno = next(i for i, line in enumerate(lines, start=1) if line.startswith(row))
+    lines[lineno - 1] = row + "inf\n"
+    kpis.write_text("".join(lines), encoding="utf-8")
+    config = str(tmp_path / "config.json")
+    assert main(["ingest", "--config", config]) == 0
+    capsys.readouterr()
+    assert main(["analyze", "--config", config, "--cell", "CELL_1A"]) == 1
+    assert f"line {lineno}: value is not finite" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "report.json").exists()
+
+
 def test_usage_error_is_config_exit():
     assert main(["analyze"]) == 1  # missing required options

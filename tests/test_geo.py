@@ -110,12 +110,16 @@ def test_bearing_against_vector_oracle():
 @example(lat1=-80.0, lon1=2.0, lat2=-79.99999999999999, lon2=2.0)
 @example(lat1=59.00849643441805, lon1=0.0, lat2=59.00849643441804, lon2=0.0)
 @example(lat1=0.0, lon1=0.0, lat2=-5e-324, lon2=0.0)
+@example(lat1=10.0, lon1=10.0, lat2=-10.0, lon2=-170.0)  # antipodes
+@example(lat1=90.0, lon1=0.0, lat2=90.0, lon2=10.0)  # from a pole
 def test_bearing_matches_oracle_everywhere(lat1, lon1, lat2, lon2):
     try:
         got = initial_bearing_deg((lat1, lon1), (lat2, lon2))
     except DegenerateGeometry:
-        assert abs(lat2 - lat1) < sys.float_info.min
-        assert abs(lon2 - lon1) < sys.float_info.min
+        from_pole = abs(lat1) == 90.0
+        antipodal = lat2 == -lat1 and abs(lon2 - lon1) == 180.0
+        coincident = abs(lat2 - lat1) < sys.float_info.min and abs(lon2 - lon1) < sys.float_info.min
+        assert from_pole or antipodal or coincident
         return
     want = _bearing_oracle((lat1, lon1), (lat2, lon2))
     diff = abs(got - want) % 360.0
@@ -127,6 +131,11 @@ def test_bearing_degenerate():
         initial_bearing_deg((1.0, 2.0), (1.0, 2.0))
     with pytest.raises(DegenerateGeometry):
         initial_bearing_deg((0.0, 0.0), (0.0, 5e-324))
+    for frm, to in [((10.0, 10.0), (-10.0, -170.0)), ((0.0, -180.0), (0.0, 0.0)),
+                    ((90.0, 0.0), (90.0, 10.0)), ((-90.0, 0.0), (36.7, -4.4))]:
+        with pytest.raises(DegenerateGeometry):
+            initial_bearing_deg(frm, to)
+    assert initial_bearing_deg((36.7, -4.4), (90.0, 0.0)) == pytest.approx(0.0, abs=1e-9)  # to a pole
 
 
 def test_bearing_nearby_points():

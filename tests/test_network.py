@@ -1,9 +1,10 @@
 """Topology and KPI loading, plus periodic-baseline normalization."""
 import math
-from datetime import timedelta
+from datetime import datetime, timedelta, timezone
 
 import numpy as np
 import pytest
+from hypothesis import example, given, strategies as st
 
 from eventcell.errors import (
     InsufficientHistory,
@@ -12,11 +13,14 @@ from eventcell.errors import (
     SchemaError,
 )
 from eventcell.network import (
+    CYCLE_HOURS,
     Cell,
     load_kpis,
     load_topology,
     normalize_periodic,
+    periodic_kind,
     save_topology,
+    slot_indices,
     write_kpis,
 )
 
@@ -161,6 +165,16 @@ def test_duplicate_sample_rejected(tmp_path):
         load_kpis(_write(tmp_path, "k.csv", _kpi_csv(rows)))
 
 
+@pytest.mark.parametrize("value", ["inf", "-inf", "nan", "NaN", "1e400"])
+def test_non_finite_value_rejected_with_line(tmp_path, value):
+    rows = [
+        "C1,M,2017-03-01T00:00:00Z,1\n",
+        f"C1,M,2017-03-01T01:00:00Z,{value}\n",
+    ]
+    with pytest.raises(InvariantError, match="line 3: value is not finite"):
+        load_kpis(_write(tmp_path, "k.csv", _kpi_csv(rows)))
+
+
 def test_multiple_series_split(tmp_path):
     rows = [
         "C1,M1,2017-03-01T00:00:00Z,1\n",
@@ -254,6 +268,49 @@ def test_reconstruct_matches_original():
     series = hourly_series(values)
     normalized = normalize_periodic(series, "hour_of_day")
     np.testing.assert_allclose(normalized.reconstruct(), values, atol=1e-9)
+
+
+def _slot_oracle(ts, kind):
+    """Scalar slot: weekday * 24 + hour of the UTC time (hour only per day)."""
+    ts = ts.astimezone(timezone.utc)
+    return ts.weekday() * 24 + ts.hour if kind == "hour_of_week" else ts.hour
+
+
+@given(
+    epoch0=st.datetimes(
+        min_value=datetime(1900, 1, 1), max_value=datetime(2100, 1, 1),
+        timezones=st.sampled_from([timezone.utc, timezone(timedelta(hours=5, minutes=30)),
+                                   timezone(-timedelta(hours=3))]),
+    ),
+    period=st.one_of(
+        st.timedeltas(min_value=timedelta(microseconds=1), max_value=timedelta(days=3)),
+        st.sampled_from([timedelta(seconds=37), timedelta(minutes=15), timedelta(hours=1),
+                         timedelta(hours=7)]),
+    ),
+    n=st.integers(0, 60),
+    kind=st.sampled_from(sorted(CYCLE_HOURS)),
+)
+@example(epoch0=datetime(1969, 12, 31, 23, 59, 30, tzinfo=timezone.utc),
+         period=timedelta(seconds=37), n=60, kind="hour_of_week")
+@example(epoch0=datetime(1955, 6, 5, 22, 10, tzinfo=timezone.utc),
+         period=timedelta(hours=7), n=60, kind="hour_of_week")
+@example(epoch0=datetime(2017, 3, 5, 23, 45, tzinfo=timezone.utc),
+         period=timedelta(minutes=15), n=60, kind="hour_of_day")
+def test_slot_indices_match_scalar_oracle(epoch0, period, n, kind):
+    got = slot_indices(epoch0, period, n, kind)
+    assert got.tolist() == [_slot_oracle(epoch0 + k * period, kind) for k in range(n)]
+
+
+def test_slot_indices_unknown_kind():
+    with pytest.raises(InvariantError, match="unknown slot kind"):
+        slot_indices(T0, timedelta(hours=1), 3, "minute_of_hour")
+
+
+@pytest.mark.parametrize("hours, kind", [
+    (47, None), (48, "hour_of_day"), (335, "hour_of_day"), (336, "hour_of_week"),
+])
+def test_periodic_kind_boundaries(hours, kind):
+    assert periodic_kind(hourly_series(np.zeros(hours))) == kind
 
 
 def test_hour_of_week_captures_weekday_structure():

@@ -14,7 +14,9 @@ from eventcell.association import (
     identify_causes,
     GeoAssocParams,
 )
+from eventcell.cli import load_config
 from eventcell.errors import SpecError
+from eventcell.filtering import run_filters
 from eventcell.geo import haversine_km
 from eventcell.ingest import BoundingBox, normalize_text
 from eventcell.network import load_kpis, load_topology, normalize_periodic
@@ -201,6 +203,19 @@ def test_detection_scenario_finds_cause():
     candidates = identify_causes(cell, bundle.events, bundle.sites, bundle.series)
     assert candidates[0].venue_key == normalize_text(truth["venue"])
     assert candidates[0].best_score > 0.7
+
+
+def test_detection_filter_keeps_every_ground_truth_event(tmp_path):
+    # The config box covers the injected venue even where it lands past the
+    # spec's area, as it does for seeds 44, 93, 95, 155, 165 and 191.
+    config_path = tmp_path / "config.json"
+    for seed in range(200):
+        bundle = build(detection_spec(seed))
+        config_path.write_text(json.dumps(dict(bundle.config, paths={})), encoding="utf-8")
+        kept, _ = run_filters(bundle.events, load_config(config_path).filter)
+        kept_ids = {e.event_id for e in kept}
+        for truth in bundle.ground_truth["events"]:
+            assert truth["event_id"] in kept_ids, f"seed {seed}"
 
 
 # --- table1 fixture ----------------------------------------------------------
