@@ -13,6 +13,7 @@ import csv
 import io
 import json
 import logging
+import math
 import sys
 from dataclasses import dataclass
 from datetime import datetime, timedelta
@@ -89,117 +90,127 @@ def load_config(path: str | Path) -> RunConfig:
         raise ConfigError(f"{path}: invalid JSON ({exc})") from None
     base = path.parent
 
-    sources = []
-    for entry in _require(raw, "sources", str(path)):
-        locator = entry.get("locator", "")
-        if entry.get("kind", "file") == "file" and not Path(locator).is_absolute():
-            locator = str(base / locator)
-        sources.append(
-            ingest.SourceConfig(
-                source_id=_require(entry, "source_id", "source"),
-                kind=entry.get("kind", "file"),
-                locator=locator,
-                format=entry.get("format", "json_records"),
-                field_map=_require(entry, "field_map", "source"),
-                priority=int(entry.get("priority", 0)),
-                timezone=entry.get("timezone", "UTC"),
+    try:
+        sources = []
+        for entry in _require(raw, "sources", str(path)):
+            locator = entry.get("locator", "")
+            if entry.get("kind", "file") == "file" and not Path(locator).is_absolute():
+                locator = str(base / locator)
+            sources.append(
+                ingest.SourceConfig(
+                    source_id=_require(entry, "source_id", "source"),
+                    kind=entry.get("kind", "file"),
+                    locator=locator,
+                    format=entry.get("format", "json_records"),
+                    field_map=_require(entry, "field_map", "source"),
+                    priority=int(entry.get("priority", 0)),
+                    timezone=entry.get("timezone", "UTC"),
+                )
             )
+
+        geocoder: Optional[ingest.GeocoderClient] = None
+        geo_raw = raw.get("geocoder")
+        if isinstance(geo_raw, str):
+            geo_raw = {"kind": "fixture", "table": geo_raw}
+        if isinstance(geo_raw, dict):
+            if geo_raw.get("kind", "fixture") == "fixture":
+                table = Path(geo_raw["table"])
+                if not table.is_absolute():
+                    table = base / table
+                geocoder = ingest.FixtureGeocoder.from_csv(table)
+            else:
+                geocoder = ingest.HttpGeocoder(geo_raw["endpoint"])
+
+        filt_raw = _require(raw, "filter", str(path))
+        geo_scope = _parse_geo_scope(_require(filt_raw, "geo", "filter"))
+        time_raw = _require(filt_raw, "time", "filter")
+        time_scope = ingest.TimeScope(
+            start=parse_rfc3339(_require(time_raw, "start", "filter.time")),
+            end=parse_rfc3339(_require(time_raw, "end", "filter.time")),
+        )
+        filter_cfg = filtering.FilterConfig(
+            required_fields=frozenset(filt_raw.get("required_fields", ["START_TIME", "LAT", "LON"])),
+            blacklist_terms=tuple(filt_raw.get("blacklist_terms", [])),
+            blacklist_target_fields=frozenset(filt_raw.get("blacklist_target_fields", ["VENUE", "NAME"])),
+            region_whitelist=(
+                frozenset(filt_raw["region_whitelist"]) if filt_raw.get("region_whitelist") else None
+            ),
+            geo=geo_scope,
+            time=time_scope,
+            soft_mode=bool(filt_raw.get("soft_mode", False)),
         )
 
-    geocoder: Optional[ingest.GeocoderClient] = None
-    geo_raw = raw.get("geocoder")
-    if isinstance(geo_raw, str):
-        geo_raw = {"kind": "fixture", "table": geo_raw}
-    if isinstance(geo_raw, dict):
-        if geo_raw.get("kind", "fixture") == "fixture":
-            table = Path(geo_raw["table"])
-            if not table.is_absolute():
-                table = base / table
-            geocoder = ingest.FixtureGeocoder.from_csv(table)
-        else:
-            geocoder = ingest.HttpGeocoder(geo_raw["endpoint"])
+        assoc_raw = raw.get("geo_assoc", {})
+        geo_assoc = association.GeoAssocParams(
+            max_dist_km=float(assoc_raw.get("max_dist_km", 2.0)),
+            min_sites=int(assoc_raw.get("min_sites", 1)),
+            max_sites=int(assoc_raw.get("max_sites", 7)),
+        )
 
-    filt_raw = _require(raw, "filter", str(path))
-    geo_scope = _parse_geo_scope(_require(filt_raw, "geo", "filter"))
-    time_raw = _require(filt_raw, "time", "filter")
-    time_scope = ingest.TimeScope(
-        start=parse_rfc3339(_require(time_raw, "start", "filter.time")),
-        end=parse_rfc3339(_require(time_raw, "end", "filter.time")),
-    )
-    filter_cfg = filtering.FilterConfig(
-        required_fields=frozenset(filt_raw.get("required_fields", ["START_TIME", "LAT", "LON"])),
-        blacklist_terms=tuple(filt_raw.get("blacklist_terms", [])),
-        blacklist_target_fields=frozenset(filt_raw.get("blacklist_target_fields", ["VENUE", "NAME"])),
-        region_whitelist=(
-            frozenset(filt_raw["region_whitelist"]) if filt_raw.get("region_whitelist") else None
-        ),
-        geo=geo_scope,
-        time=time_scope,
-        soft_mode=bool(filt_raw.get("soft_mode", False)),
-    )
+        eaw_raw = raw.get("eaw", {})
+        eaw = association.EawParams(
+            pre_margin=int(eaw_raw.get("pre_margin", 1)),
+            post_margin=int(eaw_raw.get("post_margin", 1)),
+            default_duration=timedelta(hours=float(eaw_raw.get("default_duration_hours", 3.0))),
+            category_durations={
+                name: timedelta(hours=float(hours))
+                for name, hours in eaw_raw.get("category_durations_hours", {}).items()
+            },
+            sigma_scale=float(eaw_raw.get("sigma_scale", 1.0)),
+        )
 
-    assoc_raw = raw.get("geo_assoc", {})
-    geo_assoc = association.GeoAssocParams(
-        max_dist_km=float(assoc_raw.get("max_dist_km", 2.0)),
-        min_sites=int(assoc_raw.get("min_sites", 1)),
-        max_sites=int(assoc_raw.get("max_sites", 7)),
-    )
+        r_threshold = float(raw.get("r_threshold", 0.7))
+        if not 0.0 < r_threshold <= 1.0:
+            raise ConfigError(f"r_threshold {r_threshold} outside (0, 1]")
+        stat = raw.get("aggregate_stat", "mean")
+        if stat not in association.AGGREGATE_STATS:
+            raise ConfigError(f"unknown aggregate_stat {stat!r}")
+        normalization = raw.get("normalization", "auto")
+        if normalization not in ("auto", "none", *network.CYCLE_HOURS):
+            raise ConfigError(f"unknown normalization {normalization!r}")
 
-    eaw_raw = raw.get("eaw", {})
-    eaw = association.EawParams(
-        pre_margin=int(eaw_raw.get("pre_margin", 1)),
-        post_margin=int(eaw_raw.get("post_margin", 1)),
-        default_duration=timedelta(hours=float(eaw_raw.get("default_duration_hours", 3.0))),
-        category_durations={
-            name: timedelta(hours=float(hours))
-            for name, hours in eaw_raw.get("category_durations_hours", {}).items()
-        },
-        sigma_scale=float(eaw_raw.get("sigma_scale", 1.0)),
-    )
+        fusion_raw = raw.get("fusion", {})
+        name_threshold = float(fusion_raw.get("name_threshold", 0.85))
+        if not 0.0 <= name_threshold <= 1.0:
+            raise ConfigError(f"fusion.name_threshold {name_threshold} outside [0, 1]")
+        tolerance_minutes = float(fusion_raw.get("time_tolerance_minutes", 30))
+        if not 0.0 <= tolerance_minutes < math.inf:
+            raise ConfigError(
+                f"fusion.time_tolerance_minutes {tolerance_minutes} must be finite and >= 0")
 
-    r_threshold = float(raw.get("r_threshold", 0.7))
-    if not 0.0 < r_threshold <= 1.0:
-        raise ConfigError(f"r_threshold {r_threshold} outside (0, 1]")
-    stat = raw.get("aggregate_stat", "mean")
-    if stat not in association.AGGREGATE_STATS:
-        raise ConfigError(f"unknown aggregate_stat {stat!r}")
-    normalization = raw.get("normalization", "auto")
-    if normalization not in ("auto", "none", *network.CYCLE_HOURS):
-        raise ConfigError(f"unknown normalization {normalization!r}")
+        paths_raw = raw.get("paths", {})
 
-    fusion_raw = raw.get("fusion", {})
+        def _resolve(key: str) -> Optional[Path]:
+            value = paths_raw.get(key)
+            if value is None:
+                return None
+            p = Path(value)
+            return p if p.is_absolute() else base / p
 
-    paths_raw = raw.get("paths", {})
+        topology_path = _resolve("topology")
+        kpi_path = _resolve("kpis")
+        for label, p in (("topology", topology_path), ("kpis", kpi_path)):
+            if p is not None and not p.exists():
+                raise ConfigError(f"configured {label} path does not exist: {p}")
 
-    def _resolve(key: str) -> Optional[Path]:
-        value = paths_raw.get(key)
-        if value is None:
-            return None
-        p = Path(value)
-        return p if p.is_absolute() else base / p
-
-    topology_path = _resolve("topology")
-    kpi_path = _resolve("kpis")
-    for label, p in (("topology", topology_path), ("kpis", kpi_path)):
-        if p is not None and not p.exists():
-            raise ConfigError(f"configured {label} path does not exist: {p}")
-
-    return RunConfig(
-        sources=sources,
-        geocoder=geocoder,
-        filter=filter_cfg,
-        geo_assoc=geo_assoc,
-        eaw=eaw,
-        metrics=list(raw.get("metrics", [])),
-        r_threshold=r_threshold,
-        aggregate_stat=stat,
-        normalization=normalization,
-        fusion_name_threshold=float(fusion_raw.get("name_threshold", 0.85)),
-        fusion_time_tolerance=timedelta(minutes=float(fusion_raw.get("time_tolerance_minutes", 30))),
-        topology_path=topology_path,
-        kpi_path=kpi_path,
-        output_dir=_resolve("output"),
-    )
+        return RunConfig(
+            sources=sources,
+            geocoder=geocoder,
+            filter=filter_cfg,
+            geo_assoc=geo_assoc,
+            eaw=eaw,
+            metrics=list(raw.get("metrics", [])),
+            r_threshold=r_threshold,
+            aggregate_stat=stat,
+            normalization=normalization,
+            fusion_name_threshold=name_threshold,
+            fusion_time_tolerance=timedelta(minutes=tolerance_minutes),
+            topology_path=topology_path,
+            kpi_path=kpi_path,
+            output_dir=_resolve("output"),
+        )
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        raise ConfigError(f"{path}: bad config ({exc})") from None
 
 
 # ---------------------------------------------------------------------------

@@ -74,6 +74,8 @@ class FilterConfig:
         for term in self.blacklist_terms:
             if not term or term != term.lower():
                 raise ConfigError(f"blacklist term {term!r} must be nonempty lowercase")
+            if not normalize_text(term):
+                raise ConfigError(f"blacklist term {term!r} has no letters or digits")
         for name in self.required_fields | self.blacklist_target_fields:
             if name not in _FIELD_GETTERS:
                 raise ConfigError(f"unknown canonical field {name!r} in filter config")
@@ -96,39 +98,27 @@ def filter_availability(
 def filter_geographic(
     events: Sequence[SocialEvent], cfg: FilterConfig
 ) -> tuple[list[SocialEvent], list[FilterTrace]]:
-    """Keep events inside the coordinate scope (box bounds inclusive)."""
+    """Keep events inside the coordinate scope: inside the box (bounds
+    inclusive) and within the circle, when the scope sets both."""
     if cfg.geo is None or (cfg.geo.box is None and cfg.geo.circle is None):
         raise ConfigError("geographic filter needs a box or circle scope")
     box, circle = cfg.geo.box, cfg.geo.circle
     kept, traces = [], []
     for event in events:
+        reason = None
         if not event.has_coordinates():
-            traces.append(FilterTrace(event.event_id, "geographic", "no coordinates"))
-            continue
-        if box is not None:
-            if box.contains(event.lat, event.lon):
-                kept.append(event)
-            else:
-                traces.append(FilterTrace(event.event_id, "geographic", "outside box"))
-            continue
-        distance = haversine_km((event.lat, event.lon), (circle.center_lat, circle.center_lon))
-        if distance <= circle.radius_km:
+            reason = "no coordinates"
+        elif box is not None and not box.contains(event.lat, event.lon):
+            reason = "outside box"
+        elif circle is not None:
+            distance = haversine_km((event.lat, event.lon), (circle.center_lat, circle.center_lon))
+            if distance > circle.radius_km:
+                reason = f"{distance:.3f} km from center exceeds {circle.radius_km} km"
+        if reason is None:
             kept.append(event)
         else:
-            traces.append(
-                FilterTrace(event.event_id, "geographic",
-                            f"{distance:.3f} km from center exceeds {circle.radius_km} km")
-            )
+            traces.append(FilterTrace(event.event_id, "geographic", reason))
     return kept, traces
-
-
-def _contains_term(text: str, term: str) -> bool:
-    tokens = normalize_text(text).split()
-    term_tokens = normalize_text(term).split()
-    if not term_tokens:
-        return False
-    span = len(term_tokens)
-    return any(tokens[i:i + span] == term_tokens for i in range(len(tokens) - span + 1))
 
 
 def filter_semantic(
@@ -139,14 +129,19 @@ def filter_semantic(
     whitelist = None
     if cfg.region_whitelist is not None:
         whitelist = {normalize_text(r) for r in cfg.region_whitelist}
+    # normalize_text leaves single-space-separated alphanumeric tokens, so a
+    # space-padded substring match is a match of whole consecutive tokens.
+    patterns = [(term, f" {normalize_text(term)} ") for term in cfg.blacklist_terms]
+    fields = sorted(cfg.blacklist_target_fields)
     kept, traces = [], []
     for event in events:
         reason = None
-        for field_name in sorted(cfg.blacklist_target_fields):
+        for field_name in fields:
             text = field_value(event, field_name)
             if not isinstance(text, str):
                 continue
-            hit = next((t for t in cfg.blacklist_terms if _contains_term(text, t)), None)
+            padded = f" {normalize_text(text)} "
+            hit = next((term for term, pattern in patterns if pattern in padded), None)
             if hit is not None:
                 reason = f"term '{hit}' in {field_name}"
                 break

@@ -453,33 +453,51 @@ def normalize_text(text: str) -> str:
     return " ".join(cleaned.split())
 
 
-def _levenshtein(a: str, b: str) -> int:
+def _bounded_levenshtein(a: str, b: str, k: int) -> int:
+    """Edit distance of ``a`` and ``b`` when it is at most ``k``, else ``k + 1``.
+
+    Only the diagonal band ``|i - j| <= k`` is filled: a path of cost <= k
+    never leaves it. Cells outside the band count as ``k + 1``, and the fill
+    stops once a whole row of the band exceeds ``k``.
+    """
     if len(a) < len(b):
         a, b = b, a
-    if not b:
-        return len(a)
-    previous = list(range(len(b) + 1))
-    for i, ch_a in enumerate(a, start=1):
-        current = [i]
-        for j, ch_b in enumerate(b, start=1):
-            current.append(
-                min(previous[j] + 1, current[j - 1] + 1, previous[j - 1] + (ch_a != ch_b))
-            )
-        previous = current
-    return previous[-1]
-
-
-def _similarity_normalized(a: str, b: str) -> float:
-    if a == b:
-        return 1.0
-    if not a or not b:
-        return 0.0
-    return 1.0 - _levenshtein(a, b) / max(len(a), len(b))
+    n, m = len(a), len(b)
+    over = k + 1
+    if n - m > k:
+        return over
+    if not m:
+        return n
+    previous = [j if j <= k else over for j in range(m + 1)]
+    current = [over] * (m + 1)
+    for i in range(1, n + 1):
+        ch_a = a[i - 1]
+        lo = i - k if i > k else 1
+        hi = i + k if i + k < m else m
+        left = current[lo - 1] = i if lo == 1 else over
+        row_min = over
+        for j in range(lo, hi + 1):
+            value = previous[j - 1] + (ch_a != b[j - 1])
+            if previous[j] < value:
+                value = previous[j] + 1
+            if left < value:
+                value = left + 1
+            current[j] = left = value
+            if value < row_min:
+                row_min = value
+        if row_min > k:
+            return over
+        previous, current = current, previous
+    return min(previous[m], over)
 
 
 def similarity(a: str, b: str) -> float:
     """Normalized edit-distance similarity in [0, 1]; 1.0 iff normalized forms match."""
-    return _similarity_normalized(normalize_text(a), normalize_text(b))
+    a, b = normalize_text(a), normalize_text(b)
+    if a == b:
+        return 1.0
+    longest = max(len(a), len(b))
+    return 1.0 - _bounded_levenshtein(a, b, longest) / longest
 
 
 # Fields merged value-by-value during fusion, in serialization order.
@@ -503,9 +521,12 @@ def fuse_sources(
     for sources not listed), falling back to the first non-absent value;
     conflicting values are noted on the merged record.
     """
+    if not 0.0 <= name_threshold <= 1.0:
+        raise ConfigError(f"fusion name threshold {name_threshold} outside [0, 1]")
     if not events:
         return []
     priorities = dict(priorities or {})
+    slack = 1.0 - name_threshold
 
     order = sorted(events, key=lambda e: (e.start_time, e.name, e.event_id))
     names = [normalize_text(e.name) for e in order]
@@ -527,12 +548,12 @@ def fuse_sources(
         for j in range(i + 1, len(order)):
             if order[j].start_time - order[i].start_time > time_tolerance:
                 break
-            len_i, len_j = len(names[i]), len(names[j])
-            longest = max(len_i, len_j)
-            # |len difference| lower-bounds the edit distance; skip hopeless pairs.
-            if longest and 1.0 - abs(len_i - len_j) / longest < name_threshold:
-                continue
-            if _similarity_normalized(names[i], names[j]) >= name_threshold:
+            a, b = names[i], names[j]
+            longest = max(len(a), len(b))
+            # Every distance that can pass the similarity test is at most k,
+            # so the bounded distance is exact wherever the test decides.
+            k = int(slack * longest) + 1
+            if a == b or 1.0 - _bounded_levenshtein(a, b, k) / longest >= name_threshold:
                 union(i, j)
 
     groups: dict[int, list[SocialEvent]] = {}

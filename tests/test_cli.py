@@ -114,6 +114,45 @@ def test_invalid_config_json(tmp_path):
     assert main(["ingest", "--config", str(path), "--out", str(tmp_path)]) == 1
 
 
+def _t1_config_with(t1_dir, tmp_path, section, values):
+    config = json.loads((t1_dir / "config.json").read_text())
+    config["sources"][0]["locator"] = str(t1_dir / "events.ndjson")
+    config["paths"] = {"output": str(tmp_path / "out")}
+    config.setdefault(section, {}).update(values)
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    return str(path)
+
+
+@pytest.mark.parametrize("section, values", [
+    ("fusion", {"name_threshold": "abc"}),
+    ("fusion", {"name_threshold": float("nan")}),
+    ("fusion", {"name_threshold": 1.5}),
+    ("fusion", {"name_threshold": -1}),
+    ("fusion", {"name_threshold": None}),
+    ("fusion", {"time_tolerance_minutes": -5}),
+    ("fusion", {"time_tolerance_minutes": float("inf")}),
+    ("fusion", {"time_tolerance_minutes": 1e300}),
+    ("geo_assoc", {"max_sites": "seven"}),
+    ("eaw", {"default_duration_hours": 1e300}),
+], ids=["threshold-text", "threshold-nan", "threshold-above-1", "threshold-negative",
+        "threshold-null", "tolerance-negative", "tolerance-inf", "tolerance-overflow",
+        "max-sites-text", "duration-overflow"])
+def test_bad_config_number_exits_1(t1_dir, tmp_path, capsys, section, values):
+    path = _t1_config_with(t1_dir, tmp_path, section, values)
+    assert main(["ingest", "--config", path]) == 1
+    assert "error:" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("values", [
+    {"name_threshold": 0.0, "time_tolerance_minutes": 0},
+    {"name_threshold": 1.0, "time_tolerance_minutes": 1e6},
+], ids=["lowest", "highest"])
+def test_fusion_range_bounds_accepted(t1_dir, tmp_path, values):
+    assert main(["ingest", "--config", _t1_config_with(t1_dir, tmp_path, "fusion", values)]) == 0
+
+
 # --- filter ------------------------------------------------------------------
 
 def test_filter_conservation(t1_dir, tmp_path, capsys):

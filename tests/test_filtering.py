@@ -4,6 +4,7 @@ import math
 from datetime import timedelta
 
 import pytest
+from hypothesis import example, given, strategies as st
 
 from eventcell.errors import ConfigError
 from eventcell.filtering import (
@@ -17,7 +18,15 @@ from eventcell.filtering import (
     write_traces,
 )
 from eventcell.geo import EARTH_RADIUS_KM
-from eventcell.ingest import Address, BoundingBox, CategoricalScope, CircleArea, GeoScope, TimeScope
+from eventcell.ingest import (
+    Address,
+    BoundingBox,
+    CategoricalScope,
+    CircleArea,
+    GeoScope,
+    TimeScope,
+    normalize_text,
+)
 
 from conftest import T0, make_event
 
@@ -92,6 +101,18 @@ def test_circle_radius_zero_keeps_only_center():
     assert kept == [center]
 
 
+def test_box_and_circle_intersect():
+    cfg = base_config(geo=GeoScope(box=BoundingBox(36.0, 37.0, -5.0, -4.0),
+                                   circle=CircleArea(36.72, -4.42, 2.0)))
+    center = make_event(raw_id="center", lat=36.72, lon=-4.42)
+    box_only = make_event(raw_id="box_only", lat=36.2, lon=-4.42)
+    neither = make_event(raw_id="neither", lat=38.0, lon=-4.42)
+    kept, traces = filter_geographic([center, box_only, neither], cfg)
+    assert kept == [center]
+    assert traces[0].event_id == "src/box_only" and "exceeds 2.0 km" in traces[0].reason
+    assert traces[1].event_id == "src/neither" and traces[1].reason == "outside box"
+
+
 def test_whole_earth_box_keeps_everything():
     cfg = base_config()
     events = [make_event(raw_id=str(i), lat=float(i * 10 - 80), lon=float(i * 30 - 150)) for i in range(6)]
@@ -145,6 +166,46 @@ def test_semantic_identity_with_empty_config():
 def test_blacklist_terms_must_be_lowercase():
     with pytest.raises(ConfigError):
         base_config(blacklist_terms=("Tavern",))
+
+
+def test_blacklist_term_without_letters_or_digits_rejected():
+    with pytest.raises(ConfigError, match="'!!!'"):
+        base_config(blacklist_terms=("pub", "!!!"))
+
+
+def _contains_term(text: str, term: str) -> bool:
+    """Reference whole-word match: the term's tokens as a run of the text's tokens."""
+    tokens = normalize_text(text).split()
+    term_tokens = normalize_text(term).split()
+    if not term_tokens:
+        return False
+    span = len(term_tokens)
+    return any(tokens[i:i + span] == term_tokens for i in range(len(tokens) - span + 1))
+
+
+_WORDS = st.text(alphabet="abé É-!.'1 ", max_size=12)
+
+
+@given(st.lists(_WORDS, min_size=1, max_size=3), _WORDS, _WORDS)
+@example(["rock bar"], "The Rock  Bar!", "x")
+@example(["rock-bar", "bar"], "x", "Rock Bar")
+@example(["b"], "a-b", "ab")
+@example(["!!!"], "!!!", "!!!")
+def test_semantic_match_equals_token_oracle(terms, name, venue):
+    terms = [t.lower() for t in terms]
+    if any(not t or not normalize_text(t) for t in terms):
+        with pytest.raises(ConfigError):
+            base_config(blacklist_terms=tuple(terms))
+        return
+    event = make_event(name=name, venue=venue)
+    kept, traces = filter_semantic([event], base_config(blacklist_terms=tuple(terms)))
+    expected = next(
+        (f"term '{t}' in {field}" for field, text in (("NAME", name), ("VENUE", venue))
+         for t in terms if _contains_term(text, t)),
+        None,
+    )
+    assert [t.reason for t in traces] == ([expected] if expected else [])
+    assert kept == ([] if expected else [event])
 
 
 # --- temporal ---------------------------------------------------------------

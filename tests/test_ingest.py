@@ -7,7 +7,7 @@ from datetime import datetime, timedelta
 from http.server import BaseHTTPRequestHandler, HTTPServer
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from eventcell.errors import (
     ConfigError,
@@ -18,6 +18,8 @@ from eventcell.errors import (
     UnparseableTimestamp,
 )
 from eventcell.ingest import (
+    _bounded_levenshtein,
+    _merge_group,
     Address,
     BoundingBox,
     FixtureGeocoder,
@@ -309,6 +311,102 @@ def test_similarity_symmetric_bounded(a, b):
     s = similarity(a, b)
     assert 0.0 <= s <= 1.0
     assert s == similarity(b, a)
+
+
+def _levenshtein(a: str, b: str) -> int:
+    """Reference edit distance: the full O(len(a) * len(b)) table."""
+    previous = list(range(len(b) + 1))
+    for i, ch_a in enumerate(a, start=1):
+        current = [i]
+        for j, ch_b in enumerate(b, start=1):
+            current.append(
+                min(previous[j] + 1, current[j - 1] + 1, previous[j - 1] + (ch_a != ch_b))
+            )
+        previous = current
+    return previous[-1]
+
+
+@st.composite
+def _strings_and_cutoff(draw):
+    alphabet = draw(st.sampled_from(["ab", "abc ", None]))  # None: any unicode
+    text = st.text(alphabet=alphabet, max_size=24) if alphabet else st.text(max_size=24)
+    a, b = draw(text), draw(text)
+    return a, b, draw(st.integers(0, max(len(a), len(b)) + 2))
+
+
+@settings(max_examples=500)
+@given(_strings_and_cutoff())
+@example(("", "", 0))
+@example(("", "abc", 2))
+@example(("abc", "", 3))
+@example(("kitten", "sitting", 2))
+@example(("kitten", "sitting", 3))
+@example(("ab", "ba", 1))
+@example(("é", "e\u0301", 0))
+def test_bounded_levenshtein_matches_full_table(case):
+    a, b, k = case
+    assert _bounded_levenshtein(a, b, k) == min(_levenshtein(a, b), k + 1)
+
+
+def _oracle_fusion(events, name_threshold=0.85, time_tolerance=timedelta(minutes=30)):
+    """Fusion as specified: full edit distance over every pair, transitive groups."""
+    order = sorted(events, key=lambda e: (e.start_time, e.name, e.event_id))
+    names = [normalize_text(e.name) for e in order]
+    group = list(range(len(order)))
+    for i in range(len(order)):
+        for j in range(len(order)):
+            a, b = names[i], names[j]
+            longest = max(len(a), len(b))
+            sim = 1.0 if a == b else 1.0 - _levenshtein(a, b) / longest
+            if abs(order[j].start_time - order[i].start_time) <= time_tolerance \
+                    and sim >= name_threshold and group[i] != group[j]:
+                old, new = group[j], group[i]
+                group = [new if g == old else g for g in group]
+    members = {}
+    for idx, event in enumerate(order):
+        members.setdefault(group[idx], []).append(event)
+    merged = [_merge_group(m, {}) for m in members.values()]
+    return sorted(merged, key=lambda e: (e.start_time, e.name, e.event_id))
+
+
+@st.composite
+def _near_duplicate_events(draw):
+    """Events whose names are a few edits from one base name. The base
+    lengths put whole edit counts exactly on each threshold (3 edits of 20
+    letters is 0.85, 1 of 10 is 0.9), so pairs fall on both sides of it, and
+    at 0.9 the float slack ``1 - 0.9`` sits just below 0.1."""
+    threshold = draw(st.sampled_from([0.85, 0.9, 0.8, 0.7]))
+    length = draw(st.sampled_from([10, 20]))
+    base = draw(st.text(alphabet="abcé", min_size=length, max_size=length))
+    events = []
+    for i in range(draw(st.integers(2, 7))):
+        name = list(base)
+        for _ in range(draw(st.integers(0, 4))):
+            op = draw(st.sampled_from(["sub", "ins", "del"]))
+            pos = draw(st.integers(0, len(name) - 1))
+            if op == "sub":
+                name[pos] = draw(st.sampled_from("abcdE!"))
+            elif op == "ins":
+                name.insert(pos, draw(st.sampled_from("abcd ")))
+            elif len(name) > 1:
+                del name[pos]
+        minutes = draw(st.integers(0, 60))
+        events.append(make_event(raw_id=str(i), source_id=f"s{i % 2}", name="".join(name),
+                                 start=T0 + timedelta(minutes=minutes)))
+    return threshold, events
+
+
+@settings(max_examples=300)
+@given(_near_duplicate_events())
+def test_fuse_matches_full_distance_oracle(case):
+    threshold, events = case
+    assert fuse_sources(events, name_threshold=threshold) == _oracle_fusion(events, threshold)
+
+
+@pytest.mark.parametrize("threshold", [-0.1, 1.5, float("nan")])
+def test_fuse_rejects_threshold_outside_unit_interval(threshold):
+    with pytest.raises(ConfigError):
+        fuse_sources([make_event()], name_threshold=threshold)
 
 
 # ---------------------------------------------------------------------------
