@@ -356,7 +356,7 @@ def build(spec: ScenarioSpec) -> FixtureBundle:
             records.append(
                 {
                     "id": f"bg{k:02d}-{j}",
-                    "name": f"Local Gathering {k:02d}-{j}",
+                    "name": _decoy_name(k * spec.decoys.events_per_venue + j),
                     "start": format_rfc3339(start),
                     "end": format_rfc3339(start + timedelta(hours=duration)),
                     "lat": round(lat, 6),
@@ -428,6 +428,22 @@ def _place_far(rng: CounterRng, spec: ScenarioSpec, sites: Sequence[Site]) -> tu
         if all(haversine_km((lat, lon), s.location) > spec.decoys.min_km_from_sites for s in sites):
             return lat, lon
     raise SpecError("could not place a far decoy venue; area too crowded")
+
+
+# Decoy event names spell their index in base 16, one word per digit. Any two
+# words are at least 4 edits apart, so two names of up to three words stay
+# below the 0.85 fusion similarity and decoy events never fuse.
+_DECOY_WORDS = ("Amber", "Birch", "Coral", "Dunes", "Fjord", "Grove", "Heron", "Lotus",
+                "Maple", "Pearl", "Quill", "Tulip", "Wheat", "Yacht", "Lilac", "Oasis")
+
+
+def _decoy_name(index: int) -> str:
+    words = []
+    while True:
+        index, digit = divmod(index, len(_DECOY_WORDS))
+        words.append(_DECOY_WORDS[digit])
+        if not index:
+            return " ".join(reversed(words))
 
 
 def generate(spec: ScenarioSpec, out_dir: str | Path) -> list[Path]:

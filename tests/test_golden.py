@@ -65,19 +65,19 @@ EXPECTED = {
         "config.json":
             "68e771741fd5ee08111f84855561fe7fb895c864efbaaad7fedc4ebd962ce9e9",
         "events.ndjson":
-            "89311d7574ee07add92b214490244dfd2174c48551b2dccabe42917b026c5f97",
+            "00351570104343fcddc1bbdd7855ba93eef4ba85824fd6d6b88eb81c62c29586",
         "ground_truth.json":
             "aee10177c4f2f9998a31783d1be53917e6bb83ed2c95d7a8c1254c0c638cee3d",
         "kpis.csv":
             "37199246f74172dfa9bddeae05b04923975eb03be7d4559cd0d0c6378d3df9fb",
         "out/associations.json":
-            "b62ca5dd000583d6ad2ad03ce37dabcc79abd295cb0cf459de6e2f420dff7299",
+            "fc92e2285b3c89fe4ae873bc06d58d6516a6bb399890fc28ed9bf3865f4fa5bc",
         "out/drops.csv":
             "f95ec213db5dcebb2e4d335c98a48e450422275372aff8730583e66c8e483cb0",
         "out/events.ndjson":
-            "67b0ee5fae93dc71a67b1b618e6f6e10a436f4af74c9cc28590373ba2efffee7",
+            "929abb95304711873f4fb4e70b855f02f40551444617948767a6aafff3040bd7",
         "out/filtered.ndjson":
-            "67b0ee5fae93dc71a67b1b618e6f6e10a436f4af74c9cc28590373ba2efffee7",
+            "929abb95304711873f4fb4e70b855f02f40551444617948767a6aafff3040bd7",
         "out/report.json@CELL_1A":
             "ff3df55c886edecf52cdd7398a9fc1e1bec8af2edb6937a072f97744b431ad19",
         "out/report.json@CELL_1B":
@@ -87,19 +87,19 @@ EXPECTED = {
         "out/report.json@CELL_2A":
             "6c1db664439054b14cf5baade95beb5c1b194266ecf60003a2aab24c85fd8359",
         "out/report.json@CELL_2B":
-            "0f58312d522ff7e2f2e9885a39cf2e02c8d4d08d1a36ae6785d7f48660ba9c3c",
+            "728180a04f7126c1881d92e9d228d258927439fa98888ba4fbf5b1b75367a2f8",
         "out/report.json@CELL_2C":
-            "f54b806e9248ce1c429342f2e822744799290ed4439edd608cdedd3cd6ff66ac",
+            "3951ff65178b538f9a64adeec68c36a49d1d9b67f36b473f755c30af99d7f0ab",
         "out/report.json@CELL_3A":
             "6c1db664439054b14cf5baade95beb5c1b194266ecf60003a2aab24c85fd8359",
         "out/report.json@CELL_3B":
-            "763f3b51310fe7299df449ddc6f9c4b505040af3f1dcb9e4f8073fad9c3b3478",
+            "bf43cb04bd4ed7a01c8cec18dbfcf0185e377c9a8155fd99edf9e68131cc9512",
         "out/report.json@CELL_3C":
             "6c1db664439054b14cf5baade95beb5c1b194266ecf60003a2aab24c85fd8359",
         "out/report.json@CELL_4A":
-            "a45ceb6d4529f144b5d7fd296a7b504975dac27f3ec6ce132600e332e9f25295",
+            "0d339cbee64bcccf0510e5659442a04bea683ad7e4a8e23aaa0475686ea1b6a6",
         "out/report.json@CELL_4B":
-            "811082b4877710b9fbefc62b0d7752a9c6a46f5f3adfee0e595cf5e1f36895e6",
+            "b5f63ee43a2b7578582233114b487741ce5e4c698ded54a150b5713e9850668f",
         "out/report.json@CELL_4C":
             "6c1db664439054b14cf5baade95beb5c1b194266ecf60003a2aab24c85fd8359",
         "out/summary.csv@CELL_1A":
@@ -121,9 +121,9 @@ EXPECTED = {
         "out/summary.csv@CELL_3C":
             "920cb6523cb55aad2885c77dd280e1f4f94e887b622f8931ec49f57b408f6a98",
         "out/summary.csv@CELL_4A":
-            "7968c37c0636cc5dbbd126925bdc186f30239060dcfd528a553177fbe7135e31",
+            "76e1936addf9f866f2548be46604da0a613658a53a87446b37eb6c45caad9bf6",
         "out/summary.csv@CELL_4B":
-            "496530b5941750a02494b4aaed655fc97df2f76284e60d0fcb612d31586967e5",
+            "2e995dbaed2a30a87e1230099f4d12a1dd486e06f847d816b014148851036c96",
         "out/summary.csv@CELL_4C":
             "920cb6523cb55aad2885c77dd280e1f4f94e887b622f8931ec49f57b408f6a98",
         "topology.csv":

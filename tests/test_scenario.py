@@ -18,7 +18,7 @@ from eventcell.cli import load_config
 from eventcell.errors import SpecError
 from eventcell.filtering import run_filters
 from eventcell.geo import haversine_km
-from eventcell.ingest import BoundingBox, normalize_text
+from eventcell.ingest import BoundingBox, fuse_sources, normalize_text, similarity
 from eventcell.network import load_kpis, load_topology, normalize_periodic
 from eventcell.scenario import (
     CounterRng,
@@ -28,6 +28,7 @@ from eventcell.scenario import (
     MetricSpec,
     ScenarioSpec,
     T1_EXPECTED_ABS_R,
+    _decoy_name,
     build,
     detection_spec,
     funnel_fixture,
@@ -216,6 +217,18 @@ def test_detection_filter_keeps_every_ground_truth_event(tmp_path):
         kept_ids = {e.event_id for e in kept}
         for truth in bundle.ground_truth["events"]:
             assert truth["event_id"] in kept_ids, f"seed {seed}"
+
+
+def test_detection_events_fuse_to_their_designed_count():
+    for seed in range(200):
+        spec = detection_spec(seed)
+        designed = len(spec.injected) + spec.decoys.count * spec.decoys.events_per_venue
+        assert len(fuse_sources(build(spec).events)) == designed, f"seed {seed}"
+
+
+def test_decoy_names_stay_below_fusion_similarity():
+    names = [_decoy_name(n) for n in range(300)]  # one-, two- and three-word names
+    assert all(similarity(a, b) < 0.85 for i, a in enumerate(names) for b in names[i + 1:])
 
 
 # --- table1 fixture ----------------------------------------------------------
