@@ -50,7 +50,7 @@ class GeoAssocParams:
     max_sites: int = 7
 
     def __post_init__(self):
-        if self.max_dist_km <= 0:
+        if not self.max_dist_km > 0:  # also rejects NaN
             raise ConfigError("max_dist_km must be positive")
         if self.min_sites < 0 or self.max_sites < self.min_sites:
             raise ConfigError("need 0 <= min_sites <= max_sites")
@@ -71,7 +71,7 @@ class EawParams:
             raise ConfigError("EAW margins must be >= 0")
         if self.default_duration <= timedelta(0):
             raise ConfigError("default event duration must be positive")
-        if self.sigma_scale <= 0:
+        if not self.sigma_scale > 0:  # also rejects NaN
             raise ConfigError("sigma_scale must be positive")
 
     def duration_for(self, category: Optional[str]) -> timedelta:

@@ -598,7 +598,7 @@ def load_scenario_spec(path: str | Path) -> scenario.ScenarioSpec:
             sectors_per_site=int(raw.get("sectors_per_site", 3)),
             start=parse_rfc3339(raw["start"]) if "start" in raw else datetime(2017, 3, 1, tzinfo=UTC),
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"{path}: bad scenario spec ({exc})") from None
     return spec
 

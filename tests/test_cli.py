@@ -55,6 +55,19 @@ def test_simulate_invalid_spec(tmp_path):
     assert main(["simulate", "--spec", str(spec_path), "--out", str(tmp_path / "out")]) == 1
 
 
+def test_simulate_spec_overflowing_duration_exits_1(tmp_path):
+    spec = {
+        "seed": 1, "n_sites": 2, "area": [36.6, 36.8, -4.6, -4.4], "days": 3,
+        "metrics": [{"name": "NUM_DROPS", "daily_profile": list(range(24))}],
+        "injected_events": [{"venue": "V", "start": "2017-03-02T10:00:00Z",
+                             "duration_hours": 1e300, "amplitudes": {"NUM_DROPS": 1.0},
+                             "anchor_site": 0}],
+    }
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps(spec))
+    assert main(["simulate", "--spec", str(spec_path), "--out", str(tmp_path / "out")]) == 1
+
+
 def test_simulate_needs_exactly_one_input(tmp_path):
     assert main(["simulate", "--out", str(tmp_path)]) == 1
 
@@ -134,10 +147,12 @@ def _t1_config_with(t1_dir, tmp_path, section, values):
     ("fusion", {"time_tolerance_minutes": float("inf")}),
     ("fusion", {"time_tolerance_minutes": 1e300}),
     ("geo_assoc", {"max_sites": "seven"}),
+    ("geo_assoc", {"max_dist_km": float("nan")}),
     ("eaw", {"default_duration_hours": 1e300}),
+    ("eaw", {"sigma_scale": float("nan")}),
 ], ids=["threshold-text", "threshold-nan", "threshold-above-1", "threshold-negative",
         "threshold-null", "tolerance-negative", "tolerance-inf", "tolerance-overflow",
-        "max-sites-text", "duration-overflow"])
+        "max-sites-text", "max-dist-nan", "duration-overflow", "sigma-scale-nan"])
 def test_bad_config_number_exits_1(t1_dir, tmp_path, capsys, section, values):
     path = _t1_config_with(t1_dir, tmp_path, section, values)
     assert main(["ingest", "--config", path]) == 1
