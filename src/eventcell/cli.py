@@ -30,7 +30,7 @@ from .errors import (
     SourceUnreachable,
     UnknownCell,
 )
-from .fsutil import atomic_write_text
+from .fsutil import atomic_write_text, undecodable
 from .timeutil import UTC, format_rfc3339, parse_rfc3339
 
 logger = logging.getLogger(__name__)
@@ -88,6 +88,8 @@ def load_config(path: str | Path) -> RunConfig:
         raw = json.loads(path.read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: invalid JSON ({exc})") from None
+    except UnicodeDecodeError:
+        raise ConfigError(undecodable(path)) from None
     base = path.parent
 
     try:
@@ -555,6 +557,8 @@ def load_scenario_spec(path: str | Path) -> scenario.ScenarioSpec:
         raw = json.loads(Path(path).read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: invalid JSON ({exc})") from None
+    except UnicodeDecodeError:
+        raise ConfigError(undecodable(path)) from None
     try:
         metrics = tuple(
             scenario.MetricSpec(

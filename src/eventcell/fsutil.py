@@ -23,3 +23,15 @@ def atomic_write_text(path: str | Path, text: str) -> None:
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
+
+
+def undecodable(path: str | Path) -> str:
+    """Describe a file that failed to decode as UTF-8: its path and the line
+    (counted by newlines) that holds its first bad byte."""
+    data = Path(path).read_bytes()
+    try:
+        data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        return f"{path} line {line}: not valid UTF-8 ({exc.reason})"
+    return f"{path}: not valid UTF-8"  # it changed after the failed read

@@ -19,8 +19,6 @@ from datetime import datetime, timedelta, tzinfo
 from pathlib import Path
 from typing import Iterable, Mapping, Optional, Protocol, Sequence
 
-import requests
-
 from .errors import (
     ConfigError,
     InvariantError,
@@ -29,7 +27,7 @@ from .errors import (
     SchemaError,
     SourceUnreachable,
 )
-from .fsutil import atomic_write_text
+from .fsutil import atomic_write_text, undecodable
 from .timeutil import format_rfc3339, parse_rfc3339, resolve_zone
 
 logger = logging.getLogger(__name__)
@@ -225,17 +223,20 @@ class FixtureGeocoder:
     @classmethod
     def from_csv(cls, path: str | Path) -> "FixtureGeocoder":
         table: dict[str, tuple[float, float, str]] = {}
-        with open(path, newline="", encoding="utf-8") as handle:
-            reader = csv.DictReader(handle)
-            required = {"query", "lat", "lon", "normalized_address"}
-            if reader.fieldnames is None or not required <= set(reader.fieldnames):
-                raise SchemaError(f"{path}: geocoder table needs columns {sorted(required)}")
-            for row in reader:
-                table[normalize_text(row["query"])] = (
-                    float(row["lat"]),
-                    float(row["lon"]),
-                    row["normalized_address"],
-                )
+        try:
+            with open(path, newline="", encoding="utf-8") as handle:
+                reader = csv.DictReader(handle)
+                required = {"query", "lat", "lon", "normalized_address"}
+                if reader.fieldnames is None or not required <= set(reader.fieldnames):
+                    raise SchemaError(f"{path}: geocoder table needs columns {sorted(required)}")
+                for row in reader:
+                    table[normalize_text(row["query"])] = (
+                        float(row["lat"]),
+                        float(row["lon"]),
+                        row["normalized_address"],
+                    )
+        except UnicodeDecodeError:
+            raise SchemaError(undecodable(path)) from None
         return cls(table)
 
     def resolve(self, query: str) -> Optional[tuple[float, float, str]]:
@@ -250,6 +251,8 @@ class HttpGeocoder:
         self.timeout = timeout
 
     def resolve(self, query: str) -> Optional[tuple[float, float, str]]:
+        import requests  # imported on first use: it is slow to import and only HTTP needs it
+
         try:
             response = requests.get(self.endpoint, params={"q": query}, timeout=self.timeout)
             response.raise_for_status()
@@ -277,7 +280,12 @@ def fetch_raw(source: SourceConfig, geo: GeoScope, time: TimeScope) -> list[dict
             text = Path(source.locator).read_text(encoding="utf-8")
         except OSError as exc:
             raise SourceUnreachable(source.source_id, str(exc)) from exc
+        except UnicodeDecodeError:
+            raise MalformedPayload(
+                f"source '{source.source_id}': {undecodable(source.locator)}") from None
     else:
+        import requests  # see HttpGeocoder.resolve
+
         params: dict[str, str] = {}
         if geo.categorical is not None:
             for key in ("country", "region", "city"):
@@ -672,8 +680,12 @@ def write_events(events: Iterable[SocialEvent], path: str | Path) -> None:
 
 
 def read_events(path: str | Path) -> list[SocialEvent]:
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError:
+        raise SchemaError(undecodable(path)) from None
     events = []
-    for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), start=1):
+    for lineno, line in enumerate(text.splitlines(), start=1):
         if not line.strip():
             continue
         try:

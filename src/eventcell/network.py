@@ -14,15 +14,23 @@ from __future__ import annotations
 import csv
 import io
 import math
+import operator
 from dataclasses import dataclass
 from datetime import datetime, timedelta
+from itertools import repeat
 from pathlib import Path
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .errors import InsufficientHistory, InvariantError, NonUniformPeriod, SchemaError
-from .fsutil import atomic_write_text
+from .errors import (
+    InsufficientHistory,
+    InvariantError,
+    NonUniformPeriod,
+    SchemaError,
+    UnparseableTimestamp,
+)
+from .fsutil import atomic_write_text, undecodable
 from .timeutil import UTC, format_rfc3339, parse_rfc3339
 
 TOPOLOGY_COLUMNS = ("cell_id", "site_id", "lat", "lon", "azimuth", "hor_width", "technology")
@@ -30,6 +38,7 @@ KPI_COLUMNS = ("cell_id", "metric", "timestamp", "value")
 
 # Periodic slot kinds and their cycle lengths, in hours.
 CYCLE_HOURS = {"hour_of_week": 168, "hour_of_day": 24}
+_EPOCH = datetime(1970, 1, 1, tzinfo=UTC)
 _SLOT_ORIGIN = datetime(1970, 1, 5, tzinfo=UTC)  # a Monday, 00:00 UTC
 _MICROSECOND = timedelta(microseconds=1)
 _HOUR_US = 3_600_000_000
@@ -138,34 +147,47 @@ def slot_indices(epoch0: datetime, period: timedelta, n: int, kind: str) -> np.n
 # ---------------------------------------------------------------------------
 
 def _csv_rows(path: str | Path, columns: Sequence[str]):
-    """Yield (line_number, row_dict) from a CSV with comments stripped."""
-    with open(path, newline="", encoding="utf-8") as handle:
-        numbered = [
-            (lineno, line)
-            for lineno, line in enumerate(handle, start=1)
-            if line.strip() and not line.lstrip().startswith("#")
-        ]
-    if not numbered:
-        raise SchemaError(f"{path}: no header row")
-    header = next(csv.reader([numbered[0][1]]))
-    missing = [c for c in columns if c not in header]
-    if missing:
-        raise SchemaError(f"{path}: missing columns {missing}")
-    index = {name: header.index(name) for name in columns}
-    for lineno, line in numbered[1:]:
-        cells = next(csv.reader([line]))
-        if len(cells) < len(header):
-            raise SchemaError(f"{path} line {lineno}: expected {len(header)} columns")
-        yield lineno, {name: cells[index[name]] for name in columns}
+    """Stream (line_number, fields) from a CSV, skipping comment and blank
+    lines; ``fields`` holds the named ``columns`` in that order.
 
-
-def _row_float(row: dict, key: str, path, lineno: int) -> float:
+    Each physical line is parsed on its own, so an unterminated quote fails
+    its own row rather than swallowing the next one.
+    """
     try:
-        value = float(row[key])
+        with open(path, newline="", encoding="utf-8") as handle:
+            header = None
+            for lineno, line in enumerate(handle, start=1):
+                head = line.lstrip()
+                if not head or head[0] == "#":
+                    continue
+                if '"' in line:
+                    cells = next(csv.reader((line,)))
+                else:
+                    cells = line.rstrip("\r\n").split(",")
+                if header is None:
+                    header = cells
+                    missing = [c for c in columns if c not in header]
+                    if missing:
+                        raise SchemaError(f"{path}: missing columns {missing}")
+                    pick = operator.itemgetter(*(header.index(name) for name in columns))
+                    width = len(header)
+                elif len(cells) < width:
+                    raise SchemaError(f"{path} line {lineno}: expected {width} columns")
+                else:
+                    yield lineno, pick(cells)
+    except UnicodeDecodeError:
+        raise SchemaError(undecodable(path)) from None
+    if header is None:
+        raise SchemaError(f"{path}: no header row")
+
+
+def _row_float(text: str, key: str, path, lineno: int) -> float:
+    try:
+        value = float(text)
     except ValueError:
-        raise InvariantError(f"{path} line {lineno}: {key} is not numeric: {row[key]!r}") from None
+        raise InvariantError(f"{path} line {lineno}: {key} is not numeric: {text!r}") from None
     if not math.isfinite(value):
-        raise InvariantError(f"{path} line {lineno}: {key} is not finite: {row[key]!r}")
+        raise InvariantError(f"{path} line {lineno}: {key} is not finite: {text!r}")
     return value
 
 
@@ -176,23 +198,24 @@ def load_topology(path: str | Path) -> tuple[list[Site], list[Cell]]:
     site_coords: dict[str, tuple[float, float]] = {}
     site_cells: dict[str, list[str]] = {}
     for lineno, row in _csv_rows(path, TOPOLOGY_COLUMNS):
-        cell_id, site_id = row["cell_id"].strip(), row["site_id"].strip()
+        cell_text, site_text, lat_text, lon_text, azimuth_text, width_text, technology = row
+        cell_id, site_id = cell_text.strip(), site_text.strip()
         if not cell_id or not site_id:
             raise InvariantError(f"{path} line {lineno}: empty cell_id or site_id")
         if cell_id in seen:
             raise InvariantError(f"{path} line {lineno}: duplicate cell_id {cell_id!r}")
         seen.add(cell_id)
-        lat = _row_float(row, "lat", path, lineno)
-        lon = _row_float(row, "lon", path, lineno)
+        lat = _row_float(lat_text, "lat", path, lineno)
+        lon = _row_float(lon_text, "lon", path, lineno)
         if not -90.0 <= lat <= 90.0 or not -180.0 <= lon <= 180.0:
             raise InvariantError(f"{path} line {lineno}: coordinates out of range")
         try:
             cell = Cell(
                 cell_id=cell_id,
                 site_id=site_id,
-                azimuth=_row_float(row, "azimuth", path, lineno),
-                hor_width=_row_float(row, "hor_width", path, lineno),
-                technology=row["technology"].strip(),
+                azimuth=_row_float(azimuth_text, "azimuth", path, lineno),
+                hor_width=_row_float(width_text, "hor_width", path, lineno),
+                technology=technology.strip(),
             )
         except InvariantError as exc:
             raise InvariantError(f"{path} line {lineno}: {exc}") from None
@@ -230,40 +253,51 @@ def load_kpis(path: str | Path) -> list[KpiSeries]:
     The sampling period is inferred as the minimum positive timestamp delta;
     all other deltas must be integer multiples of it. Missing rows (and rows
     with an empty value) become NaN samples; any other value must be a
-    finite number.
+    finite number. Every row is checked; each distinct timestamp text is
+    parsed once.
     """
-    samples: dict[tuple[str, str], dict[datetime, float]] = {}
-    for lineno, row in _csv_rows(path, KPI_COLUMNS):
-        key = (row["cell_id"].strip(), row["metric"].strip())
-        if not key[0] or not key[1]:
-            raise InvariantError(f"{path} line {lineno}: empty cell_id or metric")
-        ts = parse_rfc3339(row["timestamp"])
-        value_text = row["value"].strip()
-        value = math.nan if not value_text else _row_float(row, "value", path, lineno)
-        bucket = samples.setdefault(key, {})
-        if ts in bucket:
-            raise InvariantError(f"{path} line {lineno}: duplicate sample for {key} at {row['timestamp']}")
-        bucket[ts] = value
+    # (cell_id, metric) -> {microseconds since the epoch: value}
+    buckets: dict[tuple[str, str], dict[int, float]] = {}
+    stamp_us: dict[str, int] = {}  # timestamp text -> microseconds since the epoch
+    for lineno, (cell_text, metric_text, stamp, value_text) in _csv_rows(path, KPI_COLUMNS):
+        key = (cell_text.strip(), metric_text.strip())
+        bucket = buckets.get(key)
+        if bucket is None:
+            if not key[0] or not key[1]:
+                raise InvariantError(f"{path} line {lineno}: empty cell_id or metric")
+            bucket = buckets[key] = {}
+        us = stamp_us.get(stamp)
+        if us is None:
+            try:
+                us = stamp_us[stamp] = (parse_rfc3339(stamp) - _EPOCH) // _MICROSECOND
+            except UnparseableTimestamp as exc:
+                raise UnparseableTimestamp(f"{path} line {lineno}: {exc}") from None
+        value = _row_float(value_text, "value", path, lineno) if value_text.strip() else math.nan
+        if us in bucket:
+            raise InvariantError(f"{path} line {lineno}: duplicate sample for {key} at {stamp}")
+        bucket[us] = value
 
     series_list = []
-    for (cell_id, metric), bucket in sorted(samples.items()):
-        stamps = sorted(bucket)
-        if len(stamps) == 1:
-            period = timedelta(hours=1)  # undecidable from one sample; hourly default
+    for (cell_id, metric), bucket in sorted(buckets.items()):
+        stamps = np.fromiter(bucket, dtype=np.int64, count=len(bucket))
+        deltas = np.diff(np.sort(stamps))
+        if not deltas.size:
+            period = _HOUR_US  # undecidable from one sample; hourly default
         else:
-            deltas = [b - a for a, b in zip(stamps, stamps[1:])]
-            period = min(deltas)
-            for delta in deltas:
-                if delta % period:
-                    raise NonUniformPeriod(
-                        f"{cell_id}/{metric}: delta {delta} is not a multiple of {period}"
-                    )
-        n = (stamps[-1] - stamps[0]) // period + 1
-        values = np.full(n, np.nan)
-        for ts, value in bucket.items():
-            values[(ts - stamps[0]) // period] = value
-        series_list.append(KpiSeries(cell_id=cell_id, metric=metric, epoch0=stamps[0],
-                                     period=period, values=values))
+            period = int(deltas.min())
+            bad = np.flatnonzero(deltas % period)
+            if bad.size:
+                raise NonUniformPeriod(
+                    f"{cell_id}/{metric}: delta {timedelta(microseconds=int(deltas[bad[0]]))} "
+                    f"is not a multiple of {timedelta(microseconds=period)}"
+                )
+        first = int(stamps.min())
+        values = np.full((int(stamps.max()) - first) // period + 1, np.nan)
+        values[(stamps - first) // period] = np.fromiter(bucket.values(), dtype=float,
+                                                          count=len(bucket))
+        series_list.append(KpiSeries(cell_id=cell_id, metric=metric,
+                                     epoch0=_EPOCH + timedelta(microseconds=first),
+                                     period=timedelta(microseconds=period), values=values))
     return series_list
 
 
@@ -272,11 +306,15 @@ def write_kpis(series_list: Iterable[KpiSeries], path: str | Path) -> None:
     buffer = io.StringIO()
     writer = csv.writer(buffer)
     writer.writerow(KPI_COLUMNS)
+    grids: dict[tuple[datetime, timedelta, int], list[str]] = {}  # series share sample times
     for series in sorted(series_list, key=lambda s: (s.cell_id, s.metric)):
-        for n, value in enumerate(series.values):
-            text = "" if math.isnan(value) else repr(float(value))
-            writer.writerow([series.cell_id, series.metric,
-                             format_rfc3339(series.sample_time(n)), text])
+        grid = (series.epoch0, series.period, len(series.values))
+        stamps = grids.get(grid)
+        if stamps is None:
+            stamps = grids[grid] = [format_rfc3339(series.sample_time(k)) for k in range(grid[2])]
+        texts = ["" if v != v else repr(v)
+                 for v in np.asarray(series.values, dtype=float).tolist()]
+        writer.writerows(zip(repeat(series.cell_id), repeat(series.metric), stamps, texts))
     atomic_write_text(path, buffer.getvalue())
 
 

@@ -27,7 +27,10 @@ def parse_rfc3339(text: str, default_tz: tzinfo = UTC) -> datetime:
         raise UnparseableTimestamp(f"cannot parse timestamp {text!r}: {exc}") from None
     if parsed.tzinfo is None:
         parsed = parsed.replace(tzinfo=default_tz)
-    return parsed.astimezone(UTC)
+    try:
+        return parsed.astimezone(UTC)
+    except OverflowError:
+        raise UnparseableTimestamp(f"timestamp {text!r} is out of range in UTC") from None
 
 
 def format_rfc3339(ts: datetime) -> str:

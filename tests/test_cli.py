@@ -1,5 +1,6 @@
 """Command-line pipeline: stage handoffs, exit codes, reproducibility."""
 import json
+import shutil
 
 import pytest
 
@@ -336,3 +337,64 @@ def test_analyze_rejects_non_finite_kpi_value(tmp_path, capsys):
 
 def test_usage_error_is_config_exit():
     assert main(["analyze"]) == 1  # missing required options
+
+
+# --- unreadable input ----------------------------------------------------------
+
+def _bundle_copy(t1_dir, tmp_path):
+    bundle = tmp_path / "bundle"
+    shutil.copytree(t1_dir, bundle)
+    return bundle
+
+
+def _corrupt_line_2(path):
+    """Put a byte that is not valid UTF-8 at the start of the file's second line."""
+    head, _, tail = path.read_bytes().partition(b"\n")
+    path.write_bytes(head + b"\n\xff" + tail)
+
+
+def test_bad_kpi_timestamp_names_path_and_line(t1_dir, tmp_path, capsys):
+    bundle = _bundle_copy(t1_dir, tmp_path)
+    kpis = bundle / "kpis.csv"
+    lines = kpis.read_text(encoding="utf-8").splitlines(keepends=True)
+    cell, metric, _, value = lines[4].split(",")
+    lines[4] = ",".join([cell, metric, "2017-03-01T5", value])
+    kpis.write_text("".join(lines), encoding="utf-8")
+    assert main(["analyze", "--config", str(bundle / "config.json"), "--cell", "CELL_1A"]) == 1
+    err = capsys.readouterr().err
+    assert f"error: {kpis} line 5: cannot parse timestamp '2017-03-01T5'" in err
+
+
+def _add_geocoder_table(bundle):
+    (bundle / "geo.csv").write_text("query,lat,lon,normalized_address\nx,36.7,-4.4,X\n",
+                                    encoding="utf-8")
+    config = json.loads((bundle / "config.json").read_text())
+    config["geocoder"] = "geo.csv"
+    (bundle / "config.json").write_text(json.dumps(config, indent=2))
+
+
+@pytest.mark.parametrize("name, before, stage", [
+    ("config.json", [], ["ingest"]),
+    ("events.ndjson", [], ["ingest"]),
+    ("geo.csv", [], ["ingest"]),
+    ("out/filtered.ndjson", ["ingest", "filter"], ["associate"]),
+    ("topology.csv", ["ingest", "filter"], ["associate"]),
+    ("kpis.csv", ["ingest", "filter"], ["analyze", "--cell", "CELL_1A"]),
+], ids=["config", "source-file", "geocoder-table", "filtered-events", "topology", "kpis"])
+def test_undecodable_input_exits_1_naming_the_file(t1_dir, tmp_path, capsys, name, before, stage):
+    bundle = _bundle_copy(t1_dir, tmp_path)
+    _add_geocoder_table(bundle)
+    config = str(bundle / "config.json")
+    for command in before:
+        assert main([command, "--config", config]) == 0
+    _corrupt_line_2(bundle / name)
+    capsys.readouterr()
+    assert main([stage[0], "--config", config, *stage[1:]]) == 1
+    assert f"{bundle / name} line 2: not valid UTF-8" in capsys.readouterr().err
+
+
+def test_undecodable_scenario_spec_exits_1(tmp_path, capsys):
+    spec = tmp_path / "spec.json"
+    spec.write_bytes(b'{\n\xff"seed": 1}\n')
+    assert main(["simulate", "--spec", str(spec), "--out", str(tmp_path / "out")]) == 1
+    assert f"error: {spec} line 2: not valid UTF-8" in capsys.readouterr().err

@@ -1,10 +1,14 @@
 """Acquisition: source fetch, record parsing, geocoding consolidation,
 string similarity and duplicate fusion."""
 import json
+import os
+import subprocess
+import sys
 import threading
 from dataclasses import replace
 from datetime import datetime, timedelta
 from http.server import BaseHTTPRequestHandler, HTTPServer
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -286,6 +290,69 @@ def test_http_geocoder_failure_is_none():
     client = HttpGeocoder("http://127.0.0.1:1/geocode", timeout=0.2)
     assert client.resolve("anything") is None
 
+
+
+def test_importing_the_cli_leaves_requests_unloaded():
+    import eventcell
+
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(Path(eventcell.__file__).parents[1]), env.get("PYTHONPATH", "")])
+    code = "import sys, eventcell.cli; print(sorted({'requests', 'urllib3'} & set(sys.modules)))"
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                            text=True, check=True, timeout=60)
+    assert result.stdout.strip() == "[]"
+
+
+class _FakeResponse:
+    def __init__(self, payload):
+        self.payload = payload
+        self.text = json.dumps(payload)
+
+    def raise_for_status(self):
+        pass
+
+    def json(self):
+        return self.payload
+
+
+def test_http_paths_call_requests_get(monkeypatch):
+    import requests
+
+    calls = []
+
+    def fake_get(url, params, timeout):
+        calls.append((url, params))
+        if url.endswith("/geocode"):
+            return _FakeResponse({"lat": 36.72, "lon": -4.42, "normalized_address": "Avenida X 1"})
+        return _FakeResponse({"title": "Net Event", "when": "2017-03-01T20:00Z"})
+
+    monkeypatch.setattr(requests, "get", fake_get)
+    assert HttpGeocoder("http://127.0.0.1:9/geocode").resolve("Av. X 1") == (
+        36.72, -4.42, "Avenida X 1")
+    source = SourceConfig(
+        source_id="web", kind="http", locator="http://127.0.0.1:9/events",
+        format="json_records", field_map={"title": "NAME", "when": "START_TIME"},
+    )
+    assert fetch_raw(source, ANY_GEO, ANY_TIME) == [{"title": "Net Event", "when": "2017-03-01T20:00Z"}]
+    assert calls[0] == ("http://127.0.0.1:9/geocode", {"q": "Av. X 1"})
+    assert calls[1][0] == "http://127.0.0.1:9/events" and calls[1][1]["city"] == "Malaga"
+
+
+def test_http_request_failures_map_to_typed_outcomes(monkeypatch):
+    import requests
+
+    def failing_get(url, params, timeout):
+        raise requests.ConnectionError("connection refused")
+
+    monkeypatch.setattr(requests, "get", failing_get)
+    assert HttpGeocoder("http://127.0.0.1:9/geocode").resolve("anything") is None
+    source = SourceConfig(
+        source_id="web", kind="http", locator="http://127.0.0.1:9/events",
+        format="json_records", field_map={"title": "NAME", "when": "START_TIME"},
+    )
+    with pytest.raises(SourceUnreachable, match="connection refused"):
+        fetch_raw(source, ANY_GEO, ANY_TIME)
 
 # ---------------------------------------------------------------------------
 # similarity

@@ -1,20 +1,27 @@
 """Topology and KPI loading, plus periodic-baseline normalization."""
+import csv
+import io
 import math
 from datetime import datetime, timedelta, timezone
 
 import numpy as np
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from eventcell.errors import (
+    EventcellError,
     InsufficientHistory,
     InvariantError,
     NonUniformPeriod,
     SchemaError,
+    UnparseableTimestamp,
 )
+from eventcell.fsutil import atomic_write_text
 from eventcell.network import (
     CYCLE_HOURS,
+    KPI_COLUMNS,
     Cell,
+    KpiSeries,
     load_kpis,
     load_topology,
     normalize_periodic,
@@ -23,6 +30,7 @@ from eventcell.network import (
     slot_indices,
     write_kpis,
 )
+from eventcell.timeutil import format_rfc3339, parse_rfc3339
 
 from conftest import T0, hourly_series
 
@@ -205,6 +213,293 @@ def test_kpi_round_trip(tmp_path):
     loaded = load_kpis(path)[0]
     assert loaded.period == series.period and loaded.epoch0 == series.epoch0
     np.testing.assert_array_equal(loaded.values, values)
+
+
+def test_unterminated_quote_fails_its_own_line(tmp_path):
+    rows = [
+        'C1,"M,2017-03-01T00:00:00Z,1\n',
+        'C1,M,2017-03-01T01:00:00Z,2"\n',
+    ]
+    with pytest.raises(SchemaError, match="line 2: expected 4 columns"):
+        load_kpis(_write(tmp_path, "k.csv", _kpi_csv(rows)))
+
+
+@pytest.mark.parametrize("stamp", ["yesterday", "2017-03-01T5", "", "0001-01-01T00:00:00+01:00"])
+def test_bad_timestamp_names_path_and_first_line(tmp_path, stamp):
+    rows = [
+        "C1,M,2017-03-01T00:00:00Z,1\n",
+        f"C1,M,{stamp},2\n",
+        f"C2,M,{stamp},3\n",
+    ]
+    path = _write(tmp_path, "k.csv", _kpi_csv(rows))
+    with pytest.raises(UnparseableTimestamp) as info:
+        load_kpis(path)
+    assert str(info.value).startswith(f"{path} line 3: ")
+    assert repr(stamp) in str(info.value)
+
+
+def test_duplicate_detected_across_timestamp_spellings(tmp_path):
+    rows = [
+        "C1,M,2017-03-01T00:00:00Z,1\n",
+        "C1,M,2017-03-01T02:00:00+02:00,2\n",
+    ]
+    path = _write(tmp_path, "k.csv", _kpi_csv(rows))
+    with pytest.raises(InvariantError) as info:
+        load_kpis(path)
+    assert str(info.value) == (
+        f"{path} line 3: duplicate sample for ('C1', 'M') at 2017-03-01T02:00:00+02:00")
+
+
+# --- KPI loader and writer against their reference implementations --------
+#
+# The references below are the straightforward versions that once lived in
+# ``eventcell.network``: a list of every line, a csv reader and a dict per
+# row, one timestamp parse per row and a timedelta loop per series. The only
+# change is the path-and-line prefix on an unparseable timestamp.
+
+def _reference_csv_rows(path, columns):
+    with open(path, newline="", encoding="utf-8") as handle:
+        numbered = [
+            (lineno, line)
+            for lineno, line in enumerate(handle, start=1)
+            if line.strip() and not line.lstrip().startswith("#")
+        ]
+    if not numbered:
+        raise SchemaError(f"{path}: no header row")
+    header = next(csv.reader([numbered[0][1]]))
+    missing = [c for c in columns if c not in header]
+    if missing:
+        raise SchemaError(f"{path}: missing columns {missing}")
+    index = {name: header.index(name) for name in columns}
+    for lineno, line in numbered[1:]:
+        cells = next(csv.reader([line]))
+        if len(cells) < len(header):
+            raise SchemaError(f"{path} line {lineno}: expected {len(header)} columns")
+        yield lineno, {name: cells[index[name]] for name in columns}
+
+
+def _reference_row_float(row, key, path, lineno):
+    try:
+        value = float(row[key])
+    except ValueError:
+        raise InvariantError(f"{path} line {lineno}: {key} is not numeric: {row[key]!r}") from None
+    if not math.isfinite(value):
+        raise InvariantError(f"{path} line {lineno}: {key} is not finite: {row[key]!r}")
+    return value
+
+
+def _reference_load_kpis(path):
+    samples = {}
+    for lineno, row in _reference_csv_rows(path, KPI_COLUMNS):
+        key = (row["cell_id"].strip(), row["metric"].strip())
+        if not key[0] or not key[1]:
+            raise InvariantError(f"{path} line {lineno}: empty cell_id or metric")
+        try:
+            ts = parse_rfc3339(row["timestamp"])
+        except UnparseableTimestamp as exc:
+            raise UnparseableTimestamp(f"{path} line {lineno}: {exc}") from None
+        value_text = row["value"].strip()
+        value = math.nan if not value_text else _reference_row_float(row, "value", path, lineno)
+        bucket = samples.setdefault(key, {})
+        if ts in bucket:
+            raise InvariantError(f"{path} line {lineno}: duplicate sample for {key} at {row['timestamp']}")
+        bucket[ts] = value
+
+    series_list = []
+    for (cell_id, metric), bucket in sorted(samples.items()):
+        stamps = sorted(bucket)
+        if len(stamps) == 1:
+            period = timedelta(hours=1)
+        else:
+            deltas = [b - a for a, b in zip(stamps, stamps[1:])]
+            period = min(deltas)
+            for delta in deltas:
+                if delta % period:
+                    raise NonUniformPeriod(
+                        f"{cell_id}/{metric}: delta {delta} is not a multiple of {period}"
+                    )
+        n = (stamps[-1] - stamps[0]) // period + 1
+        values = np.full(n, np.nan)
+        for ts, value in bucket.items():
+            values[(ts - stamps[0]) // period] = value
+        series_list.append(KpiSeries(cell_id=cell_id, metric=metric, epoch0=stamps[0],
+                                     period=period, values=values))
+    return series_list
+
+
+def _reference_write_kpis(series_list, path):
+    buffer = io.StringIO()
+    writer = csv.writer(buffer)
+    writer.writerow(KPI_COLUMNS)
+    for series in sorted(series_list, key=lambda s: (s.cell_id, s.metric)):
+        for n, value in enumerate(series.values):
+            text = "" if math.isnan(value) else repr(float(value))
+            writer.writerow([series.cell_id, series.metric,
+                             format_rfc3339(series.sample_time(n)), text])
+    atomic_write_text(path, buffer.getvalue())
+
+
+_EPOCH_US = 1_488_326_400_000_000  # 2017-03-01T00:00:00Z
+_PERIODS_US = (1, 250_000, 1_000_000, 900_000_000, 3_600_000_000)
+
+
+def _stamp_text(us, form):
+    ts = datetime(1970, 1, 1, tzinfo=timezone.utc) + timedelta(microseconds=us)
+    if form == "Z":
+        return format_rfc3339(ts)
+    if form == "+02:00":
+        return ts.astimezone(timezone(timedelta(hours=2))).isoformat()
+    return ts.replace(tzinfo=None).isoformat(timespec="microseconds")  # naive reads as UTC
+
+
+def _field(text, quoted):
+    if quoted or "," in text or '"' in text:
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
+@st.composite
+def _kpi_tables(draw):
+    """A valid long-format KPI table: (header, rows); each row maps a column to its text."""
+    keys = draw(st.lists(st.tuples(st.sampled_from(["C1", "CELL_2A", "c,3", 'q"4']),
+                                   st.sampled_from(["NUM_DROPS", "M 2"])),
+                         min_size=1, max_size=3, unique=True))
+    rows = []
+    for cell_id, metric in keys:
+        period = draw(st.sampled_from(_PERIODS_US))
+        start = _EPOCH_US + draw(st.integers(0, 10**12))
+        n = draw(st.integers(1, 7))
+        # samples 0 and 1 pin the period; the rest may be gaps
+        present = {0, 1} & set(range(n)) | draw(st.sets(st.integers(2, max(n - 1, 2))).map(
+            lambda s: {i for i in s if i < n}))
+        for index in sorted(present):
+            value = draw(st.one_of(st.none(), st.floats(allow_nan=False, allow_infinity=False),
+                                   st.integers(-1000, 1000)))
+            pad = draw(st.sampled_from(["", " "]))
+            rows.append({
+                "cell_id": pad + cell_id,
+                "metric": metric + pad,
+                "timestamp": _stamp_text(start + index * period,
+                                         draw(st.sampled_from(["Z", "+02:00", "naive"]))),
+                "value": draw(st.sampled_from(["", " "])) if value is None else pad + repr(value),
+                "extra": draw(st.sampled_from(["", "x", "a,b"])),
+            })
+    header = draw(st.permutations(list(KPI_COLUMNS) + draw(st.sampled_from([[], ["extra"]]))))
+    return header, draw(st.permutations(rows))
+
+
+def _render(header, rows, data, *, truncate=None, open_quote=None):
+    lines = [",".join(header)]
+    for i, row in enumerate(rows):
+        fields = [_field(row[c], data.draw(st.booleans())) for c in header]
+        if i == truncate:
+            fields = fields[:-1]
+        if i == open_quote:
+            fields[0] = '"' + fields[0]
+        lines.append(",".join(fields))
+    text = ""
+    for line in lines:
+        text += data.draw(st.sampled_from(["", "# note\n", "\n", "  \r\n", "  # x,y\n"]))
+        text += line + data.draw(st.sampled_from(["\n", "\r\n"]))
+    return text
+
+
+def _outcome(load, path):
+    try:
+        return [(s.cell_id, s.metric, s.epoch0, s.epoch0.utcoffset(), s.period, s.values.tobytes())
+                for s in load(path)]
+    except EventcellError as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(table=_kpi_tables(), data=st.data())
+def test_load_kpis_matches_reference(tmp_path_factory, table, data):
+    header, rows = table
+    path = tmp_path_factory.mktemp("kpis") / "kpis.csv"
+    path.write_text(_render(header, rows, data), encoding="utf-8", newline="")
+    expected = _outcome(_reference_load_kpis, path)
+    assert isinstance(expected, list)
+    assert _outcome(load_kpis, path) == expected
+
+
+_MUTATIONS = {
+    "empty_id": ("cell_id", ["", "  "]),
+    "empty_metric": ("metric", [" "]),
+    "bad_timestamp": ("timestamp", ["yesterday", "2017-03-01T5", "", "0001-01-01T00:00:00+01:00"]),
+    "non_numeric": ("value", ["abc", "1,5", "0x10", "--1"]),
+    "non_finite": ("value", ["inf", "-inf", "nan", "NaN", "1e400"]),
+}
+
+
+def test_non_uniform_period_names_first_bad_delta(tmp_path):
+    # rows out of order; sorted deltas are 60, 60, 30, 15, 50, 30 and 40
+    # minutes, so the period is 15 minutes and 50 is the first bad delta
+    rows = [f"C1,M,{stamp},1\n" for stamp in (
+        "2017-03-01T04:05:00Z", "2017-03-01T00:00:00Z", "2017-03-01T02:30:00Z",
+        "2017-03-01T04:45:00Z", "2017-03-01T02:45:00Z", "2017-03-01T01:00:00Z",
+        "2017-03-01T02:00:00Z", "2017-03-01T03:35:00Z")]
+    path = _write(tmp_path, "k.csv", _kpi_csv(rows))
+    message = "C1/M: delta 0:50:00 is not a multiple of 0:15:00"
+    for load in (load_kpis, _reference_load_kpis):
+        with pytest.raises(NonUniformPeriod) as info:
+            load(path)
+        assert str(info.value) == message
+
+
+@settings(max_examples=300, deadline=None)
+@given(table=_kpi_tables(), data=st.data(),
+       mutation=st.sampled_from(sorted(_MUTATIONS) + ["short_row", "open_quote", "duplicate",
+                                                      "off_grid"]))
+def test_load_kpis_errors_match_reference(tmp_path_factory, table, data, mutation):
+    header, rows = table
+    rows = [dict(row) for row in rows]
+    target = data.draw(st.integers(0, len(rows) - 1))
+    truncate = open_quote = None
+    if mutation in _MUTATIONS:
+        column, texts = _MUTATIONS[mutation]
+        rows[target][column] = data.draw(st.sampled_from(texts))
+    elif mutation == "short_row":
+        truncate = target
+    elif mutation == "open_quote":
+        open_quote = target
+    elif mutation == "duplicate":
+        copy = dict(rows[target], value="7.5")
+        rows.insert(data.draw(st.integers(0, len(rows))), copy)
+    else:  # move one sample off its series' grid
+        ts = parse_rfc3339(rows[target]["timestamp"])
+        shift = timedelta(microseconds=data.draw(st.sampled_from([1, 7, 100_000, 1_800_000_000])))
+        rows[target]["timestamp"] = format_rfc3339(ts + shift)
+    path = tmp_path_factory.mktemp("kpis") / "kpis.csv"
+    path.write_text(_render(header, rows, data, truncate=truncate, open_quote=open_quote),
+                    encoding="utf-8", newline="")
+    assert _outcome(load_kpis, path) == _outcome(_reference_load_kpis, path)
+
+
+_GRID_EPOCHS = [datetime(2017, 3, 1, tzinfo=timezone.utc),
+                datetime(2017, 3, 1, 0, 0, 0, 123456, tzinfo=timezone.utc),
+                datetime(1969, 12, 31, 23, 59, 59, 999999, tzinfo=timezone.utc),
+                datetime(2017, 3, 1, 2, tzinfo=timezone(timedelta(hours=2)))]
+_SPECIAL_VALUES = [np.nan, -0.0, 0.0, -1.5, 1e308, -1.7976931348623157e308, 5e-324, 1e-300,
+                   0.1, 123456789.125, 3.0]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(
+    st.tuples(st.sampled_from(["C1", "C2", "a,b", 'q"x']), st.sampled_from(["M", "NUM DROPS"]),
+              st.sampled_from(_GRID_EPOCHS),
+              st.sampled_from([timedelta(microseconds=1), timedelta(seconds=0.5),
+                               timedelta(minutes=15), timedelta(hours=1)]),
+              st.lists(st.one_of(st.sampled_from(_SPECIAL_VALUES), st.floats(allow_infinity=False)),
+                       min_size=1, max_size=30)),
+    min_size=1, max_size=5))
+def test_write_kpis_matches_reference(tmp_path_factory, specs):
+    series = [KpiSeries(cell_id, metric, epoch0, period, np.array(values, dtype=float))
+              for cell_id, metric, epoch0, period, values in specs]
+    directory = tmp_path_factory.mktemp("write")
+    write_kpis(series, directory / "new.csv")
+    _reference_write_kpis(series, directory / "reference.csv")
+    assert (directory / "new.csv").read_bytes() == (directory / "reference.csv").read_bytes()
 
 
 def test_series_index_arithmetic():
