@@ -31,7 +31,7 @@ from .errors import (
     OutOfRange,
     UnknownCell,
 )
-from .geo import angle_offset_deg, haversine_km, initial_bearing_deg
+from .geo import angle_offset_deg, distances_km, haversine_km, initial_bearing_deg
 from .ingest import SocialEvent, normalize_text
 from .network import Cell, KpiSeries, Site, normalize_periodic, periodic_kind
 
@@ -157,26 +157,68 @@ def cell_bearing_offset(cell: Cell, site: Site, point: tuple[float, float]) -> f
     return angle_offset_deg(cell.azimuth, bearing)
 
 
+# Events per distance matrix; bounds the matrix at 128 x len(sites) floats.
+_CHUNK_EVENTS = 128
+# ``distances_km`` evaluates ``haversine_km``'s formula with numpy's sin, cos
+# and arctan2, which may differ from math's by a few ulps (SIMD builds promise
+# 4). With each factor of h = sin^2(dlat/2) + cos lat1 cos lat2 sin^2(dlon/2)
+# off by at most 5 ulps, h (at most 1) moves by |dh| < 5e-15. Since
+# d = 2 R asin(sqrt h) and |asin(sqrt a) - asin(sqrt b)| <= (pi / 2) sqrt|a - b|
+# on [0, 1] (by Jordan's inequality), the two distances differ by at most
+# pi R sqrt|dh| < 1.5e-3 km anywhere on the sphere. The sqrt is what
+# amplifies rounding near the antipode, h ~ 1; elsewhere they agree to about
+# 1e-11 km. A 10 m margin leaves ample slack and admits few extra sites.
+_PRUNE_MARGIN_KM = 0.01
+
+
+def associate_events(
+    events: Sequence[SocialEvent], sites: Sequence[Site], params: GeoAssocParams
+) -> list[list[tuple[Site, float]]]:
+    """Close sites of each event, in event order: sites within max_dist_km,
+    nearest first (ties broken by site_id), capped at max_sites.
+
+    When fewer than min_sites fall inside the distance limit, the limit is
+    waived and the min_sites nearest sites are taken instead.
+
+    A numpy distance matrix only prunes: with every matrix value within
+    ``_PRUNE_MARGIN_KM`` of the scalar one, the sites kept below
+    ``max(max_dist_km, k-th smallest distance) + 2 * margin`` include every
+    site within max_dist_km and the k = min(min_sites, len(sites)) nearest.
+    Those are re-measured with ``haversine_km``, and the rule is applied to
+    them, so distances and order are those of a scalar pass over all sites.
+    """
+    for event in events:
+        if not event.has_coordinates():
+            raise ConfigError(f"event {event.event_id} has no coordinates")
+    site_lat = np.array([site.lat for site in sites], dtype=float)
+    site_lon = np.array([site.lon for site in sites], dtype=float)
+    k = min(params.min_sites, len(sites))
+    result = []
+    for start in range(0, len(events), _CHUNK_EVENTS):
+        chunk = events[start : start + _CHUNK_EVENTS]
+        dist = distances_km([e.lat for e in chunk], [e.lon for e in chunk], site_lat, site_lon)
+        limit = np.full(len(chunk), params.max_dist_km)
+        if k:
+            np.maximum(limit, np.partition(dist, k - 1, axis=1)[:, k - 1], out=limit)
+        keep = dist <= (limit + 2.0 * _PRUNE_MARGIN_KM)[:, None]
+        for event, row in zip(chunk, keep):
+            point = (event.lat, event.lon)
+            ranked = sorted(
+                ((sites[j], haversine_km(point, sites[j].location)) for j in np.flatnonzero(row)),
+                key=lambda pair: (pair[1], pair[0].site_id),
+            )
+            within = [pair for pair in ranked if pair[1] <= params.max_dist_km]
+            if len(within) < params.min_sites:
+                within = ranked[: params.min_sites]
+            result.append(within[: params.max_sites])
+    return result
+
+
 def associate_geographic(
     event: SocialEvent, sites: Sequence[Site], params: GeoAssocParams
 ) -> list[tuple[Site, float]]:
-    """Sites within max_dist_km of the event, nearest first, capped at max_sites.
-
-    When fewer than min_sites fall inside the distance limit, the limit is
-    waived and the min_sites nearest sites are taken instead (ties broken
-    by site_id).
-    """
-    if not event.has_coordinates():
-        raise ConfigError(f"event {event.event_id} has no coordinates")
-    point = (event.lat, event.lon)
-    ranked = sorted(
-        ((site, haversine_km(point, site.location)) for site in sites),
-        key=lambda pair: (pair[1], pair[0].site_id),
-    )
-    within = [pair for pair in ranked if pair[1] <= params.max_dist_km]
-    if len(within) < params.min_sites:
-        within = ranked[: params.min_sites]
-    return within[: params.max_sites]
+    """``associate_events`` for one event."""
+    return associate_events([event], sites, params)[0]
 
 
 def filter_by_bearing(
@@ -401,10 +443,8 @@ def identify_causes(
     series = _prepare_series(kpis, degraded_cell.cell_id, normalization)
 
     by_venue: dict[str, list] = defaultdict(list)  # venue key -> [(event, close sites)]
-    for event in events:
-        if not event.has_coordinates():
-            continue
-        close = associate_geographic(event, sites, params)
+    located = [event for event in events if event.has_coordinates()]
+    for event, close in zip(located, associate_events(located, sites, params)):
         if not any(s.site_id == site.site_id for s, _ in close):
             continue
         try:

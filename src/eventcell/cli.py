@@ -432,15 +432,19 @@ def cmd_associate(config_path: str, events_path: Optional[str], out: Optional[st
     source = _events_input(out_dir, events_path)
     events = ingest.read_events(source)
 
-    records = []
+    located = []
     skipped = 0
     for event in sorted(events, key=lambda e: (e.start_time, e.event_id)):
-        if not event.has_coordinates():
+        if event.has_coordinates():
+            located.append(event)
+        else:
             skipped += 1
             logger.info("event %s has no coordinates; not associated", event.event_id)
-            continue
-        close = association.associate_geographic(event, sites, config.geo_assoc)
-        records.append(_association_record(event, close, cells_by_site))
+    closes = association.associate_events(located, sites, config.geo_assoc)
+    records = [
+        _association_record(event, close, cells_by_site)
+        for event, close in zip(located, closes)
+    ]
 
     report_path = out_dir / "associations.json"
     _write_json_report(records, report_path, stamp)

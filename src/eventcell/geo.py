@@ -6,6 +6,8 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
+
 from .errors import DegenerateGeometry
 
 EARTH_RADIUS_KM = 6371.0
@@ -14,13 +16,35 @@ Point = tuple[float, float]  # (lat, lon) in degrees
 
 
 def haversine_km(a: Point, b: Point) -> float:
-    """Great-circle distance between two (lat, lon) points in km."""
+    """Great-circle distance between two (lat, lon) points in km.
+
+    Near the antipode ``h`` can round one ulp above 1; it is clamped, so the
+    distance there is half the circumference instead of a domain error.
+    """
     lat1, lon1 = math.radians(a[0]), math.radians(a[1])
     lat2, lon2 = math.radians(b[0]), math.radians(b[1])
     dlat = lat2 - lat1
     dlon = lon2 - lon1
     h = math.sin(dlat / 2) ** 2 + math.cos(lat1) * math.cos(lat2) * math.sin(dlon / 2) ** 2
+    h = min(h, 1.0)
     return EARTH_RADIUS_KM * 2.0 * math.atan2(math.sqrt(h), math.sqrt(1.0 - h))
+
+
+def distances_km(lat, lon, site_lat, site_lon) -> np.ndarray:
+    """Matrix of ``haversine_km`` distances, events (rows) by sites (columns),
+    from 1-d coordinate arrays in degrees.
+
+    Same formula and clamp as ``haversine_km``, but numpy's ``sin``, ``cos``
+    and ``arctan2`` may differ from ``math``'s in the last ulps, so these
+    values only prune candidates; no caller writes or compares them.
+    """
+    lat1 = np.radians(np.asarray(lat, dtype=float))[:, None]
+    lon1 = np.radians(np.asarray(lon, dtype=float))[:, None]
+    lat2 = np.radians(np.asarray(site_lat, dtype=float))[None, :]
+    lon2 = np.radians(np.asarray(site_lon, dtype=float))[None, :]
+    h = np.sin((lat2 - lat1) / 2) ** 2 + np.cos(lat1) * np.cos(lat2) * np.sin((lon2 - lon1) / 2) ** 2
+    np.minimum(h, 1.0, out=h)
+    return EARTH_RADIUS_KM * 2.0 * np.arctan2(np.sqrt(h), np.sqrt(1.0 - h))
 
 
 def initial_bearing_deg(frm: Point, to: Point) -> float:

@@ -154,7 +154,7 @@ def _csv_rows(path: str | Path, columns: Sequence[str]):
     its own row rather than swallowing the next one.
     """
     try:
-        with open(path, newline="", encoding="utf-8") as handle:
+        with open(path, newline="", encoding="utf-8-sig") as handle:
             header = None
             for lineno, line in enumerate(handle, start=1):
                 head = line.lstrip()
@@ -183,6 +183,8 @@ def _csv_rows(path: str | Path, columns: Sequence[str]):
 
 def _row_float(text: str, key: str, path, lineno: int) -> float:
     try:
+        if "_" in text:  # float() takes Python's digit separators; no export means them
+            raise ValueError
         value = float(text)
     except ValueError:
         raise InvariantError(f"{path} line {lineno}: {key} is not numeric: {text!r}") from None

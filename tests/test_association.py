@@ -6,13 +6,15 @@ from datetime import timedelta
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+from eventcell import association
 from eventcell.association import (
     EawParams,
     EventCellCorrelation,
     GeoAssocParams,
     aggregate_venue,
+    associate_events,
     associate_geographic,
     build_eaw,
     cell_bearing_offset,
@@ -29,8 +31,9 @@ from eventcell.errors import (
     NoDefinedCorrelations,
     OutOfRange,
 )
-from eventcell.geo import destination_point
+from eventcell.geo import destination_point, distances_km, haversine_km
 from eventcell.network import Cell, Site
+from eventcell.scenario import build, detection_spec, table1_fixture
 
 from conftest import T0, hourly_series, make_event
 
@@ -144,6 +147,149 @@ def test_associate_brute_force_equivalence():
         assert [(s.site_id, round(d, 9)) for s, d in got] == [
             (s.site_id, round(d, 9)) for s, d in oracle
         ]
+
+
+# The scalar association that once lived in ``eventcell.association``: every
+# site measured with ``haversine_km``, sorted by (distance, site_id).
+def _reference_associate(event, sites, params):
+    if not event.has_coordinates():
+        raise ConfigError(f"event {event.event_id} has no coordinates")
+    point = (event.lat, event.lon)
+    ranked = sorted(
+        ((site, haversine_km(point, site.location)) for site in sites),
+        key=lambda pair: (pair[1], pair[0].site_id),
+    )
+    within = [pair for pair in ranked if pair[1] <= params.max_dist_km]
+    if len(within) < params.min_sites:
+        within = ranked[: params.min_sites]
+    return within[: params.max_sites]
+
+
+def _antipode(lat, lon):
+    return -lat, lon - 180.0 if lon > 0 else lon + 180.0
+
+
+_CENTRES = [(36.72, -4.42), (0.0, 179.9999), (0.0, -180.0), (89.9999, 10.0), (90.0, 0.0),
+            (-90.0, 45.0), (-89.99995, -179.99), (3.362091034140363, 22.088831320216457)]
+_lats = st.floats(-90.0, 90.0)
+_lons = st.floats(-180.0, 180.0)
+
+
+def _read_high_point(origin, seed):
+    """A point that ``distances_km`` puts farther from ``origin`` than
+    ``haversine_km`` does (their arctan2 differ in the last ulp), or None."""
+    rng = random.Random(seed)
+    for _ in range(200):
+        lat, lon = destination_point(origin, rng.uniform(0.0, 360.0), rng.uniform(0.0, 2e4))
+        if distances_km([origin[0]], [origin[1]], [lat], [lon])[0, 0] > haversine_km(origin, (lat, lon)):
+            return lat, lon
+    return None
+
+
+@st.composite
+def _association_cases(draw):
+    """Events and sites clustered around one centre, possibly at the
+    dateline or a pole, with coincident sites under different ids, far sites,
+    sites at (or 1e-13 degrees from) an event's antipode, and max_dist_km
+    sometimes set to an event-site distance exactly."""
+    centre = draw(st.one_of(st.sampled_from(_CENTRES), st.tuples(_lats, _lons)))
+    near, far = (st.builds(lambda b, d: destination_point(centre, b, d),
+                           st.floats(0.0, 360.0), st.floats(0.0, reach)) for reach in (6.0, 2e4))
+    points = draw(st.lists(st.one_of(near, st.just(centre), far, st.tuples(_lats, _lons)),
+                           max_size=12))
+    events = draw(st.lists(st.one_of(near, st.just(centre)), min_size=1, max_size=5))
+    nudge = st.sampled_from([0.0, 1e-13, -1e-13])
+    for lat, lon in draw(st.lists(st.sampled_from(events), max_size=2)):
+        a_lat, a_lon = _antipode(lat, lon)
+        points.append((max(-90.0, min(90.0, a_lat + draw(nudge))), a_lon))
+    high = _read_high_point(events[0], draw(st.integers(0, 2**32 - 1)))
+    if high is not None and draw(st.booleans()):
+        points.append(high)
+    points += draw(st.lists(st.sampled_from(points), max_size=3)) if points else []  # ties
+    order = draw(st.permutations(range(len(points))))
+    sites = [Site(f"S{order[i]:02d}", lat, lon, (f"C{i}",)) for i, (lat, lon) in enumerate(points)]
+    event_objs = [make_event(raw_id=f"e{i}", lat=lat, lon=lon) for i, (lat, lon) in enumerate(events)]
+    # a limit on a site exactly, preferably one the numpy kernel reads high,
+    # which a prune without margin would drop
+    pruned = distances_km([p[0] for p in events], [p[1] for p in events],
+                          [s.lat for s in sites], [s.lon for s in sites])
+    exact = [(haversine_km(p, s.location), pruned[i, j])
+             for i, p in enumerate(events) for j, s in enumerate(sites)]
+    borderline = ([d for d, n in exact if d > 0 and n > d] or [d for d, _ in exact if d > 0]
+                  or [2.0])
+    max_dist = draw(st.one_of(st.sampled_from([0.5, 2.0, 5.0]), st.sampled_from(borderline)))
+    min_sites = draw(st.integers(0, len(sites) + 2))
+    max_sites = draw(st.integers(min_sites, min_sites + 8))
+    return event_objs, sites, GeoAssocParams(max_dist, min_sites, max_sites)
+
+
+def _pairs(lists):
+    return [[(site.site_id, d) for site, d in close] for close in lists]
+
+
+@settings(max_examples=400, deadline=None)
+@given(_association_cases())
+@example(([make_event(lat=3.362091034140363, lon=22.088831320216457)],
+          [Site("A", -3.362091034140363, -157.91116867978354, ("A1",))],
+          GeoAssocParams(2.0, 0, 7)))
+@example(([make_event()], [], GeoAssocParams(2.0, 3, 7)))
+def test_associate_events_matches_scalar_reference(case):
+    events, sites, params = case
+    expected = [_reference_associate(event, sites, params) for event in events]
+    assert _pairs(associate_events(events, sites, params)) == _pairs(expected)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_association_cases(), st.integers(0, 2**32 - 1))
+def test_associate_events_tolerates_kernel_error_up_to_its_bound(case, seed):
+    # The prune stays exact for any matrix within 1.5e-3 km of the scalar
+    # distances, the worst numpy-vs-math error derived next to
+    # _PRUNE_MARGIN_KM; perturb every entry by that much, either way.
+    events, sites, params = case
+    exact = association.distances_km
+
+    def perturbed(*coordinates):
+        dist = exact(*coordinates)
+        return dist + np.random.default_rng(seed).choice([-1.5e-3, 1.5e-3], size=dist.shape)
+
+    expected = [_reference_associate(event, sites, params) for event in events]
+    with pytest.MonkeyPatch.context() as patched:
+        patched.setattr(association, "distances_km", perturbed)
+        got = associate_events(events, sites, params)
+    assert _pairs(got) == _pairs(expected)
+
+
+def test_associate_events_spans_chunks():
+    rng = random.Random(5)
+    origin = (36.72, -4.42)
+    sites = [_site_at(f"S{i:03d}", origin, rng.uniform(0, 360), rng.uniform(0.0, 8.0))
+             for i in range(60)]
+    events = [make_event(raw_id=f"e{i}", lat=lat, lon=lon) for i, (lat, lon) in enumerate(
+        destination_point(origin, rng.uniform(0, 360), rng.uniform(0.0, 6.0)) for _ in range(300))]
+    params = GeoAssocParams(2.0, 2, 7)
+    expected = [_reference_associate(event, sites, params) for event in events]
+    assert _pairs(associate_events(events, sites, params)) == _pairs(expected)
+    assert associate_events([], sites, params) == []
+
+
+def test_associate_events_needs_coordinates():
+    with pytest.raises(ConfigError, match="no coordinates"):
+        associate_events([make_event(), make_event(raw_id="x", lat=None, lon=None)], [],
+                         GeoAssocParams())
+
+
+@pytest.mark.parametrize("seed", [None, *range(20)])
+def test_identify_causes_same_with_scalar_association(monkeypatch, seed):
+    bundle = table1_fixture() if seed is None else build(detection_spec(seed))
+
+    def run():
+        return {cell.cell_id: identify_causes(cell, bundle.events, bundle.sites, bundle.series)
+                for cell in bundle.cells}
+
+    got = run()
+    monkeypatch.setattr(association, "associate_events", lambda events, sites, params: [
+        _reference_associate(event, sites, params) for event in events])
+    assert got == run()
 
 
 def test_geo_params_validation():

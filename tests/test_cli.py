@@ -5,6 +5,7 @@ import shutil
 import pytest
 
 from eventcell.cli import _association_record, main
+from eventcell.ingest import write_events
 from eventcell.network import Cell, Site
 
 from conftest import make_event
@@ -186,6 +187,19 @@ def test_filter_identity_when_everything_passes(t1_dir, tmp_path):
     events = (tmp_path / "events.ndjson").read_text()
     filtered = (tmp_path / "filtered.ndjson").read_text()
     assert events == filtered  # table1 events all pass the default scope
+
+
+def test_filter_circle_centred_on_the_antipode(t1_dir, tmp_path, capsys):
+    # haversine's h rounds to 1 + 2**-52 for this pair; unclamped, the filter
+    # raised a math domain error out of main
+    point = (3.362091034140363, 22.088831320216457)
+    antipode = (-3.362091034140363, -157.91116867978354)
+    out = tmp_path / "out"
+    out.mkdir()
+    write_events([make_event(lat=point[0], lon=point[1])], out / "events.ndjson")
+    path = _t1_config_with(t1_dir, tmp_path, "filter", {"geo": {"circle": [*antipode, 20100.0]}})
+    assert main(["filter", "--config", path, "--out", str(out)]) == 0
+    assert "kept: 1" in capsys.readouterr().out
 
 
 # --- associate -----------------------------------------------------------------

@@ -56,6 +56,12 @@ def test_haversine_symmetric_and_zero():
     assert haversine_km(a, a) == 0.0
 
 
+def test_haversine_clamps_near_antipode():
+    # h rounds to 1.0000000000000002 here; sqrt(1 - h) used to raise
+    a, b = (3.362091034140363, 22.088831320216457), (-3.362091034140363, -157.91116867978354)
+    assert haversine_km(a, b) == pytest.approx(math.pi * EARTH_RADIUS_KM, abs=1e-9)
+
+
 def test_quarter_circumference_value():
     assert haversine_km((0, 0), (0, 90)) == pytest.approx(10007.543398, abs=1e-3)
 

@@ -102,6 +102,23 @@ def test_site_coordinate_mismatch(tmp_path):
         load_topology(path)
 
 
+def test_topology_with_byte_order_mark(tmp_path):
+    text = TOPOLOGY_HEADER + "C1,S1,1,2,90,120,LTE\n"
+    sites, cells = load_topology(_write(tmp_path, "bom.csv", "\ufeff" + text))
+    assert (sites, cells) == load_topology(_write(tmp_path, "plain.csv", text))
+    assert cells[0].cell_id == "C1"
+
+
+@pytest.mark.parametrize("column, row", [
+    ("lat", "C1,S1,1_0,2,90,120,LTE\n"),
+    ("azimuth", "C1,S1,1,2,9_0,120,LTE\n"),
+], ids=["lat", "azimuth"])
+def test_topology_rejects_digit_separators(tmp_path, column, row):
+    path = _write(tmp_path, "t.csv", TOPOLOGY_HEADER + row)
+    with pytest.raises(InvariantError, match=f"line 2: {column} is not numeric"):
+        load_topology(path)
+
+
 def test_cell_invariants():
     with pytest.raises(InvariantError):
         Cell("X", "S", azimuth=400.0, hor_width=120.0)
@@ -180,6 +197,22 @@ def test_non_finite_value_rejected_with_line(tmp_path, value):
         f"C1,M,2017-03-01T01:00:00Z,{value}\n",
     ]
     with pytest.raises(InvariantError, match="line 3: value is not finite"):
+        load_kpis(_write(tmp_path, "k.csv", _kpi_csv(rows)))
+
+
+def test_kpi_with_byte_order_mark(tmp_path):
+    text = _kpi_csv(["C1,M,2017-03-01T00:00:00Z,1\n", "C1,M,2017-03-01T01:00:00Z,2\n"])
+    series = load_kpis(_write(tmp_path, "bom.csv", "\ufeff" + text))
+    assert [(s.cell_id, s.values.tolist()) for s in series] == [("C1", [1.0, 2.0])]
+
+
+@pytest.mark.parametrize("value", ["1_000", "1_0.5", "1e1_0", "_1"])
+def test_kpi_value_rejects_digit_separators(tmp_path, value):
+    rows = [
+        "C1,M,2017-03-01T00:00:00Z,1\n",
+        f"C1,M,2017-03-01T01:00:00Z,{value}\n",
+    ]
+    with pytest.raises(InvariantError, match="line 3: value is not numeric"):
         load_kpis(_write(tmp_path, "k.csv", _kpi_csv(rows)))
 
 
