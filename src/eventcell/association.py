@@ -19,7 +19,7 @@ import math
 from collections import defaultdict
 from dataclasses import dataclass, field
 from datetime import timedelta
-from typing import Mapping, Optional, Sequence
+from typing import Iterator, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -173,9 +173,10 @@ _PRUNE_MARGIN_KM = 0.01
 
 def associate_events(
     events: Sequence[SocialEvent], sites: Sequence[Site], params: GeoAssocParams
-) -> list[list[tuple[Site, float]]]:
-    """Close sites of each event, in event order: sites within max_dist_km,
-    nearest first (ties broken by site_id), capped at max_sites.
+) -> Iterator[list[tuple[Site, float]]]:
+    """Yield the close sites of each event, in event order: sites within
+    max_dist_km, nearest first (ties broken by site_id), capped at max_sites.
+    Yielding lets callers drop the lists they do not keep.
 
     When fewer than min_sites fall inside the distance limit, the limit is
     waived and the min_sites nearest sites are taken instead.
@@ -193,7 +194,6 @@ def associate_events(
     site_lat = np.array([site.lat for site in sites], dtype=float)
     site_lon = np.array([site.lon for site in sites], dtype=float)
     k = min(params.min_sites, len(sites))
-    result = []
     for start in range(0, len(events), _CHUNK_EVENTS):
         chunk = events[start : start + _CHUNK_EVENTS]
         dist = distances_km([e.lat for e in chunk], [e.lon for e in chunk], site_lat, site_lon)
@@ -210,15 +210,14 @@ def associate_events(
             within = [pair for pair in ranked if pair[1] <= params.max_dist_km]
             if len(within) < params.min_sites:
                 within = ranked[: params.min_sites]
-            result.append(within[: params.max_sites])
-    return result
+            yield within[: params.max_sites]
 
 
 def associate_geographic(
     event: SocialEvent, sites: Sequence[Site], params: GeoAssocParams
 ) -> list[tuple[Site, float]]:
     """``associate_events`` for one event."""
-    return associate_events([event], sites, params)[0]
+    return next(associate_events([event], sites, params))
 
 
 def filter_by_bearing(

@@ -442,8 +442,7 @@ def cmd_associate(config_path: str, events_path: Optional[str], out: Optional[st
             logger.info("event %s has no coordinates; not associated", event.event_id)
     closes = association.associate_events(located, sites, config.geo_assoc)
     records = [
-        _association_record(event, close, cells_by_site)
-        for event, close in zip(located, closes)
+        _association_record(event, close, cells_by_site) for event, close in zip(located, closes)
     ]
 
     report_path = out_dir / "associations.json"

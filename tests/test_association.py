@@ -255,7 +255,7 @@ def test_associate_events_tolerates_kernel_error_up_to_its_bound(case, seed):
     expected = [_reference_associate(event, sites, params) for event in events]
     with pytest.MonkeyPatch.context() as patched:
         patched.setattr(association, "distances_km", perturbed)
-        got = associate_events(events, sites, params)
+        got = list(associate_events(events, sites, params))
     assert _pairs(got) == _pairs(expected)
 
 
@@ -269,13 +269,13 @@ def test_associate_events_spans_chunks():
     params = GeoAssocParams(2.0, 2, 7)
     expected = [_reference_associate(event, sites, params) for event in events]
     assert _pairs(associate_events(events, sites, params)) == _pairs(expected)
-    assert associate_events([], sites, params) == []
+    assert list(associate_events([], sites, params)) == []
 
 
 def test_associate_events_needs_coordinates():
     with pytest.raises(ConfigError, match="no coordinates"):
-        associate_events([make_event(), make_event(raw_id="x", lat=None, lon=None)], [],
-                         GeoAssocParams())
+        list(associate_events([make_event(), make_event(raw_id="x", lat=None, lon=None)], [],
+                              GeoAssocParams()))
 
 
 @pytest.mark.parametrize("seed", [None, *range(20)])
@@ -287,8 +287,8 @@ def test_identify_causes_same_with_scalar_association(monkeypatch, seed):
                 for cell in bundle.cells}
 
     got = run()
-    monkeypatch.setattr(association, "associate_events", lambda events, sites, params: [
-        _reference_associate(event, sites, params) for event in events])
+    monkeypatch.setattr(association, "associate_events", lambda events, sites, params: (
+        _reference_associate(event, sites, params) for event in events))
     assert got == run()
 
 
