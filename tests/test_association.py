@@ -121,8 +121,6 @@ def test_associate_brute_force_equivalence():
     rng = random.Random(11)
     event = make_event()
     origin = (event.lat, event.lon)
-    from eventcell.geo import haversine_km
-
     for _ in range(25):
         n = rng.randint(0, 20)
         sites = [
@@ -135,15 +133,7 @@ def test_associate_brute_force_equivalence():
             max_sites=rng.randint(3, 8),
         )
         got = associate_geographic(event, sites, params)
-        # exhaustive oracle: sort all sites by (distance, id), filter, relax, cut
-        ranked = sorted(
-            ((s, haversine_km(origin, s.location)) for s in sites),
-            key=lambda p: (p[1], p[0].site_id),
-        )
-        oracle = [p for p in ranked if p[1] <= params.max_dist_km]
-        if len(oracle) < params.min_sites:
-            oracle = ranked[: params.min_sites]
-        oracle = oracle[: params.max_sites]
+        oracle = _reference_associate(event, sites, params)
         assert [(s.site_id, round(d, 9)) for s, d in got] == [
             (s.site_id, round(d, 9)) for s, d in oracle
         ]
@@ -202,9 +192,9 @@ def _association_cases(draw):
     for lat, lon in draw(st.lists(st.sampled_from(events), max_size=2)):
         a_lat, a_lon = _antipode(lat, lon)
         points.append((max(-90.0, min(90.0, a_lat + draw(nudge))), a_lon))
-    high = _read_high_point(events[0], draw(st.integers(0, 2**32 - 1)))
-    if high is not None and draw(st.booleans()):
-        points.append(high)
+    if draw(st.booleans()):
+        high = _read_high_point(events[0], draw(st.integers(0, 2**32 - 1)))
+        points += [high] if high else []
     points += draw(st.lists(st.sampled_from(points), max_size=3)) if points else []  # ties
     order = draw(st.permutations(range(len(points))))
     sites = [Site(f"S{order[i]:02d}", lat, lon, (f"C{i}",)) for i, (lat, lon) in enumerate(points)]
