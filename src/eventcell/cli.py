@@ -474,7 +474,7 @@ def cmd_analyze(config_path: str, cell_id: str, events_path: Optional[str],
     if cell is None:
         raise UnknownCell(f"cell {cell_id!r} not found in topology")
 
-    kpis = network.load_kpis(config.kpi_path)
+    kpis = network.load_kpis(config.kpi_path, cell_id)
     if config.metrics:
         kpis = [s for s in kpis if s.metric in config.metrics]
     if not any(s.cell_id == cell_id for s in kpis):

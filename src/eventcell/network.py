@@ -42,6 +42,9 @@ _EPOCH = datetime(1970, 1, 1, tzinfo=UTC)
 _SLOT_ORIGIN = datetime(1970, 1, 5, tzinfo=UTC)  # a Monday, 00:00 UTC
 _MICROSECOND = timedelta(microseconds=1)
 _HOUR_US = 3_600_000_000
+# Longest grid one KPI series may span: 128 MiB of float64, or 479 years of
+# 15-minute samples. A stray far-off row must not allocate without bound.
+MAX_SERIES_SAMPLES = 2**24
 
 
 @dataclass(frozen=True)
@@ -146,19 +149,29 @@ def slot_indices(epoch0: datetime, period: timedelta, n: int, kind: str) -> np.n
 # Loading / saving
 # ---------------------------------------------------------------------------
 
-def _csv_rows(path: str | Path, columns: Sequence[str]):
+def _csv_rows(path: str | Path, columns: Sequence[str], match: Optional[str] = None):
     """Stream (line_number, fields) from a CSV, skipping comment and blank
     lines; ``fields`` holds the named ``columns`` in that order.
 
     Each physical line is parsed on its own, so an unterminated quote fails
-    its own row rather than swallowing the next one.
+    its own row rather than swallowing the next one. With ``match``, only
+    rows whose first named column, stripped, equals it are yielded; every
+    row's column count is still checked. A quote-free line holds its fields
+    as substrings, so one that does not contain ``match`` is skipped on its
+    raw text. Other lines are split as usual, since ``csv`` reads
+    ``"S0"26C`` as ``S026C``.
     """
     try:
         with open(path, newline="", encoding="utf-8-sig") as handle:
             header = None
+            scoped = False  # true once the header is read, if match is given
             for lineno, line in enumerate(handle, start=1):
                 head = line.lstrip()
                 if not head or head[0] == "#":
+                    continue
+                if scoped and match not in line and '"' not in line:
+                    if line.count(",") < width - 1:
+                        raise SchemaError(f"{path} line {lineno}: expected {width} columns")
                     continue
                 if '"' in line:
                     cells = next(csv.reader((line,)))
@@ -171,10 +184,13 @@ def _csv_rows(path: str | Path, columns: Sequence[str]):
                         raise SchemaError(f"{path}: missing columns {missing}")
                     pick = operator.itemgetter(*(header.index(name) for name in columns))
                     width = len(header)
+                    scoped = match is not None
                 elif len(cells) < width:
                     raise SchemaError(f"{path} line {lineno}: expected {width} columns")
                 else:
-                    yield lineno, pick(cells)
+                    row = pick(cells)
+                    if not scoped or row[0].strip() == match:
+                        yield lineno, row
     except UnicodeDecodeError:
         raise SchemaError(undecodable(path)) from None
     if header is None:
@@ -249,19 +265,25 @@ def save_topology(sites: Sequence[Site], cells: Sequence[Cell], path: str | Path
     atomic_write_text(path, buffer.getvalue())
 
 
-def load_kpis(path: str | Path) -> list[KpiSeries]:
+def load_kpis(path: str | Path, cell_id: Optional[str] = None) -> list[KpiSeries]:
     """Load long-format KPI rows into one series per (cell_id, metric).
 
     The sampling period is inferred as the minimum positive timestamp delta;
-    all other deltas must be integer multiples of it. Missing rows (and rows
-    with an empty value) become NaN samples; any other value must be a
-    finite number. Every row is checked; each distinct timestamp text is
-    parsed once.
+    all other deltas must be integer multiples of it, and a series' grid may
+    span at most ``MAX_SERIES_SAMPLES`` samples. Missing rows (and rows with
+    an empty value) become NaN samples; any other value must be a finite
+    number. Each distinct timestamp text is parsed once.
+
+    Without ``cell_id`` every row is checked. With it, only that cell's
+    series are loaded: every row's column count is checked, but only the
+    rows of that cell are fully checked, so a bad value in another cell's
+    row is not reported.
     """
     # (cell_id, metric) -> {microseconds since the epoch: value}
     buckets: dict[tuple[str, str], dict[int, float]] = {}
     stamp_us: dict[str, int] = {}  # timestamp text -> microseconds since the epoch
-    for lineno, (cell_text, metric_text, stamp, value_text) in _csv_rows(path, KPI_COLUMNS):
+    rows = _csv_rows(path, KPI_COLUMNS, cell_id)
+    for lineno, (cell_text, metric_text, stamp, value_text) in rows:
         key = (cell_text.strip(), metric_text.strip())
         bucket = buckets.get(key)
         if bucket is None:
@@ -280,7 +302,7 @@ def load_kpis(path: str | Path) -> list[KpiSeries]:
         bucket[us] = value
 
     series_list = []
-    for (cell_id, metric), bucket in sorted(buckets.items()):
+    for (cell, metric), bucket in sorted(buckets.items()):
         stamps = np.fromiter(bucket, dtype=np.int64, count=len(bucket))
         deltas = np.diff(np.sort(stamps))
         if not deltas.size:
@@ -290,14 +312,21 @@ def load_kpis(path: str | Path) -> list[KpiSeries]:
             bad = np.flatnonzero(deltas % period)
             if bad.size:
                 raise NonUniformPeriod(
-                    f"{cell_id}/{metric}: delta {timedelta(microseconds=int(deltas[bad[0]]))} "
+                    f"{cell}/{metric}: delta {timedelta(microseconds=int(deltas[bad[0]]))} "
                     f"is not a multiple of {timedelta(microseconds=period)}"
                 )
-        first = int(stamps.min())
-        values = np.full((int(stamps.max()) - first) // period + 1, np.nan)
+        first, last = int(stamps.min()), int(stamps.max())
+        length = (last - first) // period + 1
+        if length > MAX_SERIES_SAMPLES:
+            raise InvariantError(
+                f"{path}: {cell}/{metric} from {format_rfc3339(_EPOCH + first * _MICROSECOND)} "
+                f"to {format_rfc3339(_EPOCH + last * _MICROSECOND)} spans {length} samples, "
+                f"over the limit of {MAX_SERIES_SAMPLES}"
+            )
+        values = np.full(length, np.nan)
         values[(stamps - first) // period] = np.fromiter(bucket.values(), dtype=float,
                                                           count=len(bucket))
-        series_list.append(KpiSeries(cell_id=cell_id, metric=metric,
+        series_list.append(KpiSeries(cell_id=cell, metric=metric,
                                      epoch0=_EPOCH + timedelta(microseconds=first),
                                      period=timedelta(microseconds=period), values=values))
     return series_list
@@ -328,9 +357,19 @@ def _covers_two_cycles(series: KpiSeries, kind: str) -> bool:
     return len(series.values) * series.period >= timedelta(hours=2 * CYCLE_HOURS[kind])
 
 
+def _slots_filled(series: KpiSeries, kind: str) -> bool:
+    """Whether every slot the series' grid reaches holds two present samples."""
+    slots = slot_indices(series.epoch0, series.period, len(series.values), kind)
+    reached = np.bincount(slots, minlength=CYCLE_HOURS[kind]) > 0
+    present = np.bincount(slots[~np.isnan(series.values)], minlength=CYCLE_HOURS[kind])
+    return bool(np.all(present[reached] >= 2))
+
+
 def periodic_kind(series: KpiSeries) -> Optional[str]:
-    """The longest slot kind with two full cycles of history, else None."""
-    return next((kind for kind in CYCLE_HOURS if _covers_two_cycles(series, kind)), None)
+    """The longest slot kind with two full cycles of history, in which every
+    slot the grid reaches holds at least two present samples, else None."""
+    return next((kind for kind in CYCLE_HOURS
+                 if _covers_two_cycles(series, kind) and _slots_filled(series, kind)), None)
 
 
 def normalize_periodic(series: KpiSeries, period_hint: str = "hour_of_week") -> NormalizedSeries:

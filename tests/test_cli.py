@@ -6,7 +6,7 @@ import pytest
 
 from eventcell.cli import _association_record, main
 from eventcell.ingest import write_events
-from eventcell.network import Cell, Site
+from eventcell.network import MAX_SERIES_SAMPLES, Cell, Site, load_kpis, periodic_kind
 
 from conftest import make_event
 
@@ -347,6 +347,97 @@ def test_analyze_rejects_non_finite_kpi_value(tmp_path, capsys):
     assert main(["analyze", "--config", config, "--cell", "CELL_1A"]) == 1
     assert f"line {lineno}: value is not finite" in capsys.readouterr().err
     assert not (tmp_path / "out" / "report.json").exists()
+
+
+# --- analyze reads only the analyzed cell's KPI rows ----------------------------
+
+@pytest.fixture(scope="module")
+def detection7(tmp_path_factory):
+    """Detection seed 7, ingested and analyzed on its causal cell CELL_1A."""
+    path = tmp_path_factory.mktemp("detection7")
+    assert main(["simulate", "--preset", "detection", "--seed", "7", "--out", str(path)]) == 0
+    assert main(["ingest", "--config", str(path / "config.json")]) == 0
+    assert main(["analyze", "--config", str(path / "config.json"), "--cell", "CELL_1A"]) == 0
+    return path
+
+
+def _edited_detection7(detection7, tmp_path, replace=(), append=()):
+    """A copy of the bundle without its report. ``replace`` is a pair (start
+    of a KPI line, its new text); ``append`` adds KPI lines. Returns the copy,
+    its KPI path and the number of the replaced line."""
+    bundle = tmp_path / "bundle"
+    shutil.copytree(detection7, bundle)
+    for name in ("report.json", "summary.csv"):
+        (bundle / "out" / name).unlink()
+    kpis = bundle / "kpis.csv"
+    lines = kpis.read_text(encoding="utf-8").splitlines(keepends=True)
+    lineno = None
+    if replace:
+        row_start, text = replace
+        lineno = next(i for i, line in enumerate(lines, start=1) if line.startswith(row_start))
+        lines[lineno - 1] = text + "\n"
+    kpis.write_text("".join(lines + list(append)), encoding="utf-8")
+    return bundle, kpis, lineno
+
+
+def _analyze_cell_1a(bundle):
+    return main(["analyze", "--config", str(bundle / "config.json"), "--cell", "CELL_1A"])
+
+
+_OTHER_ROW = "CELL_2B,NUM_DROPS,2017-03-05T20:00:00Z,"
+_OWN_ROW = "CELL_1A,NUM_DROPS,2017-03-05T20:00:00Z,"
+
+
+def test_analyze_ignores_bad_values_of_other_cells(detection7, tmp_path):
+    bundle, _, _ = _edited_detection7(detection7, tmp_path, (_OTHER_ROW, _OTHER_ROW + "abc"))
+    assert _analyze_cell_1a(bundle) == 0
+    for name in ("report.json", "summary.csv"):
+        assert (bundle / "out" / name).read_bytes() == (detection7 / "out" / name).read_bytes()
+
+
+def test_analyze_checks_the_column_count_of_other_cells(detection7, tmp_path, capsys):
+    bundle, kpis, lineno = _edited_detection7(detection7, tmp_path,
+                                              (_OTHER_ROW, _OTHER_ROW.rstrip(",")))
+    capsys.readouterr()
+    assert _analyze_cell_1a(bundle) == 1
+    assert f"error: {kpis} line {lineno}: expected 4 columns" in capsys.readouterr().err
+
+
+def test_analyze_bad_value_of_the_cell_keeps_its_message(detection7, tmp_path, capsys):
+    bundle, kpis, lineno = _edited_detection7(detection7, tmp_path, (_OWN_ROW, _OWN_ROW + "abc"))
+    capsys.readouterr()
+    assert _analyze_cell_1a(bundle) == 1
+    err = capsys.readouterr().err
+    assert f"error: {kpis} line {lineno}: value is not numeric: 'abc'" in err
+    assert not (bundle / "out" / "report.json").exists()
+
+
+def test_analyze_rejects_a_series_grid_over_the_limit(detection7, tmp_path, capsys):
+    # a 1 µs-period series of the analyzed cell with one sample 30 minutes on
+    stamps = ("2017-03-05T00:00:00Z", "2017-03-05T00:00:00.000001Z",
+              "2017-03-05T00:30:00.000001Z")
+    bundle, kpis, _ = _edited_detection7(
+        detection7, tmp_path, append=[f"CELL_1A,PING,{t},1\n" for t in stamps])
+    capsys.readouterr()
+    assert _analyze_cell_1a(bundle) == 1
+    err = capsys.readouterr().err
+    assert f"error: {kpis}: CELL_1A/PING from 2017-03-05T00:00:00Z" in err
+    assert f"spans 1800000002 samples, over the limit of {MAX_SERIES_SAMPLES}" in err
+
+
+def test_analyze_stray_row_keeps_the_daily_baseline(detection7, tmp_path):
+    # One row two weeks on stretches NUM_DROPS to 24 days, most of them
+    # gaps: hour-of-week slots would hold one present sample each, making
+    # every residual 0 and the correlation undefined.
+    bundle, kpis, _ = _edited_detection7(
+        detection7, tmp_path, append=["CELL_1A,NUM_DROPS,2017-03-25T00:00:00Z,1\n"])
+    drops = next(s for s in load_kpis(kpis, "CELL_1A") if s.metric == "NUM_DROPS")
+    assert len(drops) == 577 and periodic_kind(drops) == "hour_of_day"
+    assert _analyze_cell_1a(bundle) == 0
+    top = json.loads((bundle / "out" / "report.json").read_text())["records"][0]
+    assert top["VENUE"] == "Riverside Arena" and top["FLAGGED"]
+    r = {c["METRIC"]: c["R"] for c in top["CORRELATED_CELLS"]}
+    assert r["NUM_DROPS"] == pytest.approx(0.925, abs=1e-3)
 
 
 def test_usage_error_is_config_exit():

@@ -20,6 +20,7 @@ from eventcell.fsutil import atomic_write_text
 from eventcell.network import (
     CYCLE_HOURS,
     KPI_COLUMNS,
+    MAX_SERIES_SAMPLES,
     Cell,
     KpiSeries,
     load_kpis,
@@ -288,7 +289,8 @@ def test_duplicate_detected_across_timestamp_spellings(tmp_path):
 # The references below are the straightforward versions that once lived in
 # ``eventcell.network``: a list of every line, a csv reader and a dict per
 # row, one timestamp parse per row and a timedelta loop per series. The only
-# change is the path-and-line prefix on an unparseable timestamp.
+# changes are the path-and-line prefix on an unparseable timestamp and the
+# bound on a series' grid.
 
 def _reference_csv_rows(path, columns):
     with open(path, newline="", encoding="utf-8") as handle:
@@ -352,6 +354,12 @@ def _reference_load_kpis(path):
                         f"{cell_id}/{metric}: delta {delta} is not a multiple of {period}"
                     )
         n = (stamps[-1] - stamps[0]) // period + 1
+        if n > MAX_SERIES_SAMPLES:
+            raise InvariantError(
+                f"{path}: {cell_id}/{metric} from {format_rfc3339(stamps[0])} "
+                f"to {format_rfc3339(stamps[-1])} spans {n} samples, "
+                f"over the limit of {MAX_SERIES_SAMPLES}"
+            )
         values = np.full(n, np.nan)
         for ts, value in bucket.items():
             values[(ts - stamps[0]) // period] = value
@@ -392,11 +400,10 @@ def _field(text, quoted):
 
 
 @st.composite
-def _kpi_tables(draw):
+def _kpi_tables(draw, cells=("C1", "CELL_2A", "c,3", 'q"4'), max_keys=3):
     """A valid long-format KPI table: (header, rows); each row maps a column to its text."""
-    keys = draw(st.lists(st.tuples(st.sampled_from(["C1", "CELL_2A", "c,3", 'q"4']),
-                                   st.sampled_from(["NUM_DROPS", "M 2"])),
-                         min_size=1, max_size=3, unique=True))
+    keys = draw(st.lists(st.tuples(st.sampled_from(cells), st.sampled_from(["NUM_DROPS", "M 2"])),
+                         min_size=1, max_size=max_keys, unique=True))
     rows = []
     for cell_id, metric in keys:
         period = draw(st.sampled_from(_PERIODS_US))
@@ -421,20 +428,28 @@ def _kpi_tables(draw):
     return header, draw(st.permutations(rows))
 
 
-def _render(header, rows, data, *, truncate=None, open_quote=None):
-    lines = [",".join(header)]
+_JUNK = ("", "# note\n", "\n", "  \r\n", "  # x,y\n")
+
+
+def _render_lines(header, rows, data, *, truncate=None, open_quote=None, junk=_JUNK,
+                  ends=("\n", "\r\n"), field=None):
+    """The header line, then one line per row, as [junk before it, text, line end];
+    ``field(text)`` renders one field (by default quoted or not at random)."""
+    field = field or (lambda text: _field(text, data.draw(st.booleans())))
+    texts = [",".join(_field(name, False) for name in header)]
     for i, row in enumerate(rows):
-        fields = [_field(row[c], data.draw(st.booleans())) for c in header]
+        fields = [field(row[c]) for c in header]
         if i == truncate:
             fields = fields[:-1]
         if i == open_quote:
             fields[0] = '"' + fields[0]
-        lines.append(",".join(fields))
-    text = ""
-    for line in lines:
-        text += data.draw(st.sampled_from(["", "# note\n", "\n", "  \r\n", "  # x,y\n"]))
-        text += line + data.draw(st.sampled_from(["\n", "\r\n"]))
-    return text
+        texts.append(",".join(fields))
+    return [[data.draw(st.sampled_from(junk)), text, data.draw(st.sampled_from(ends))]
+            for text in texts]
+
+
+def _render(header, rows, data, **options):
+    return "".join("".join(line) for line in _render_lines(header, rows, data, **options))
 
 
 def _outcome(load, path):
@@ -480,22 +495,19 @@ def test_non_uniform_period_names_first_bad_delta(tmp_path):
         assert str(info.value) == message
 
 
-@settings(max_examples=300, deadline=None)
-@given(table=_kpi_tables(), data=st.data(),
-       mutation=st.sampled_from(sorted(_MUTATIONS) + ["short_row", "open_quote", "duplicate",
-                                                      "off_grid"]))
-def test_load_kpis_errors_match_reference(tmp_path_factory, table, data, mutation):
-    header, rows = table
+def _mutate(rows, data, mutation):
+    """Break one row of a valid table by ``mutation``; return the new rows and
+    the ``_render`` options that go with them."""
     rows = [dict(row) for row in rows]
     target = data.draw(st.integers(0, len(rows) - 1))
-    truncate = open_quote = None
+    options = {}
     if mutation in _MUTATIONS:
         column, texts = _MUTATIONS[mutation]
         rows[target][column] = data.draw(st.sampled_from(texts))
     elif mutation == "short_row":
-        truncate = target
+        options["truncate"] = target
     elif mutation == "open_quote":
-        open_quote = target
+        options["open_quote"] = target
     elif mutation == "duplicate":
         copy = dict(rows[target], value="7.5")
         rows.insert(data.draw(st.integers(0, len(rows))), copy)
@@ -503,10 +515,100 @@ def test_load_kpis_errors_match_reference(tmp_path_factory, table, data, mutatio
         ts = parse_rfc3339(rows[target]["timestamp"])
         shift = timedelta(microseconds=data.draw(st.sampled_from([1, 7, 100_000, 1_800_000_000])))
         rows[target]["timestamp"] = format_rfc3339(ts + shift)
+    return rows, options
+
+
+_MUTATION_NAMES = sorted(_MUTATIONS) + ["short_row", "open_quote", "duplicate", "off_grid"]
+
+
+@settings(max_examples=300, deadline=None)
+@given(table=_kpi_tables(), data=st.data(), mutation=st.sampled_from(_MUTATION_NAMES))
+def test_load_kpis_errors_match_reference(tmp_path_factory, table, data, mutation):
+    header, rows = table
+    rows, options = _mutate(rows, data, mutation)
     path = tmp_path_factory.mktemp("kpis") / "kpis.csv"
-    path.write_text(_render(header, rows, data, truncate=truncate, open_quote=open_quote),
-                    encoding="utf-8", newline="")
+    path.write_text(_render(header, rows, data, **options), encoding="utf-8", newline="")
     assert _outcome(load_kpis, path) == _outcome(_reference_load_kpis, path)
+
+
+def test_series_grid_over_the_limit_rejected(tmp_path):
+    # a 1 µs-period series with one sample 30 minutes on: a grid of 1.8e9 samples
+    rows = ["C1,M,2017-03-01T00:00:00Z,1\n", "C1,M,2017-03-01T00:00:00.000001Z,2\n",
+            "C1,M,2017-03-01T00:30:00.000001Z,3\n", "C2,M,2017-03-01T00:00:00Z,4\n"]
+    path = _write(tmp_path, "k.csv", _kpi_csv(rows))
+    message = (f"{path}: C1/M from 2017-03-01T00:00:00Z to 2017-03-01T00:30:00.000001Z "
+               f"spans 1800000002 samples, over the limit of {MAX_SERIES_SAMPLES}")
+    for load in (load_kpis, _reference_load_kpis, lambda p: load_kpis(p, "C1")):
+        with pytest.raises(InvariantError) as info:
+            load(path)
+        assert str(info.value) == message
+    assert [s.cell_id for s in load_kpis(path, "C2")] == ["C2"]
+
+
+def test_series_grid_limit_is_inclusive(tmp_path, monkeypatch):
+    monkeypatch.setattr("eventcell.network.MAX_SERIES_SAMPLES", 4)
+    rows = ["C1,M,2017-03-01T00:00:00Z,1\n", "C1,M,2017-03-01T01:00:00Z,2\n",
+            "C1,M,2017-03-01T03:00:00Z,3\n"]
+    assert len(load_kpis(_write(tmp_path, "k.csv", _kpi_csv(rows)))[0]) == 4
+    rows[2] = "C1,M,2017-03-01T04:00:00Z,3\n"
+    with pytest.raises(InvariantError, match="spans 5 samples, over the limit of 4"):
+        load_kpis(_write(tmp_path, "k.csv", _kpi_csv(rows)))
+
+
+# --- KPI reads scoped to one cell ---------------------------------------------
+#
+# ``load_kpis(path, cell)`` must load what the full load holds for that cell.
+# The ids collide by prefix and suffix with each other, and two of them need
+# quoting; fields may also be quoted around part of their text, which ``csv``
+# reads as the whole text (``"S0"26C`` is ``S026C``).
+
+_SCOPED_CELLS = ("S026C", "S026CX", "XS026C", "S0,26C", 'S0"26C')
+
+
+def _scoped_field(data):
+    def render(text):
+        form = data.draw(st.sampled_from(["plain", "quoted", "split"]))
+        if form == "split" and text and not set(text) & set(',"'):
+            cut = data.draw(st.integers(0, len(text)))
+            return '"' + text[:cut] + '"' + text[cut:]
+        return _field(text, form == "quoted")
+    return render
+
+
+@settings(max_examples=300, deadline=None)
+@given(table=_kpi_tables(cells=_SCOPED_CELLS, max_keys=4), data=st.data(),
+       cell=st.sampled_from(_SCOPED_CELLS + ("S02",)),
+       mutation=st.sampled_from([None] + _MUTATION_NAMES))
+def test_scoped_load_kpis_matches_full_load(tmp_path_factory, table, data, cell, mutation):
+    header, rows = table
+    options = {}
+    if mutation is not None:
+        rows, options = _mutate(rows, data, mutation)
+    if "extra" in header and data.draw(st.booleans()):  # a header naming the cell
+        header = [cell if name == "extra" else name for name in header]
+        rows = [{cell if key == "extra" else key: text for key, text in row.items()}
+                for row in rows]
+    junk = ("", f"# {cell}\n", "\n", "  \r", f"  # {cell},x\r\n")
+    lines = _render_lines(header, rows, data, junk=junk, ends=("\n", "\r\n", "\r"),
+                          field=_scoped_field(data), **options)
+    if data.draw(st.booleans()):
+        lines[0][0] = "\ufeff" + lines[0][0]
+    path = tmp_path_factory.mktemp("scoped") / "kpis.csv"
+    path.write_text("".join(map("".join, lines)), encoding="utf-8", newline="")
+    scoped = _outcome(lambda p: load_kpis(p, cell), path)
+    full = _outcome(load_kpis, path)
+    if isinstance(full, list):
+        assert scoped == [s for s in full if s[0] == cell]
+    # Blank each well-formed row of another cell, keeping the line count: the
+    # full load of what is left, which holds only rows of the cell and
+    # malformed ones, fails or loads exactly as the scoped load did.
+    column = header.index("cell_id")
+    for line in lines[1:]:
+        fields = next(csv.reader([line[1]]))
+        if len(fields) >= len(header) and fields[column].strip() != cell:
+            line[1] = " "
+    path.write_text("".join(map("".join, lines)), encoding="utf-8", newline="")
+    assert scoped == _outcome(load_kpis, path)
 
 
 _GRID_EPOCHS = [datetime(2017, 3, 1, tzinfo=timezone.utc),
@@ -639,6 +741,22 @@ def test_slot_indices_unknown_kind():
 ])
 def test_periodic_kind_boundaries(hours, kind):
     assert periodic_kind(hourly_series(np.zeros(hours))) == kind
+
+
+def test_periodic_kind_needs_two_present_samples_per_slot():
+    # 10 days of data and one sample 14 days later: the span covers two
+    # weeks, but most hour-of-week slots hold one present sample
+    values = np.full(577, np.nan)
+    values[:240] = 1.0
+    values[-1] = 1.0
+    assert periodic_kind(hourly_series(values)) == "hour_of_day"
+    values[:240:24] = np.nan  # slot 0 of the day keeps one present sample
+    assert periodic_kind(hourly_series(values)) is None
+
+
+def test_periodic_kind_counts_only_slots_the_grid_reaches():
+    every_two_hours = KpiSeries("C1", "M", T0, timedelta(hours=2), np.zeros(168))
+    assert periodic_kind(every_two_hours) == "hour_of_week"
 
 
 def test_hour_of_week_captures_weekday_structure():
