@@ -475,10 +475,14 @@ def cmd_analyze(config_path: str, cell_id: str, events_path: Optional[str],
         raise UnknownCell(f"cell {cell_id!r} not found in topology")
 
     kpis = network.load_kpis(config.kpi_path, cell_id)
-    if config.metrics:
-        kpis = [s for s in kpis if s.metric in config.metrics]
-    if not any(s.cell_id == cell_id for s in kpis):
+    if not kpis:
         raise ConfigError(f"no KPI series for cell {cell_id!r}")
+    if config.metrics:
+        chosen = [s for s in kpis if s.metric in config.metrics]
+        if not chosen:
+            raise ConfigError(f"no KPI series for cell {cell_id!r} among the configured metrics "
+                              f"{config.metrics}; it has {sorted({s.metric for s in kpis})}")
+        kpis = chosen
 
     source = _events_input(out_dir, events_path)
     events = ingest.read_events(source)

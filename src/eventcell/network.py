@@ -11,6 +11,7 @@ imputed.
 """
 from __future__ import annotations
 
+import codecs
 import csv
 import io
 import math
@@ -45,6 +46,8 @@ _HOUR_US = 3_600_000_000
 # Longest grid one KPI series may span: 128 MiB of float64, or 479 years of
 # 15-minute samples. A stray far-off row must not allocate without bound.
 MAX_SERIES_SAMPLES = 2**24
+# Bytes a CSV scan reads at a time; its numpy arrays take a few times this.
+_BLOCK_BYTES = 1 << 17
 
 
 @dataclass(frozen=True)
@@ -149,48 +152,129 @@ def slot_indices(epoch0: datetime, period: timedelta, n: int, kind: str) -> np.n
 # Loading / saving
 # ---------------------------------------------------------------------------
 
+def _line_runs(handle):
+    """Yield a binary file's bytes in runs of whole lines, read in blocks of
+    ``_BLOCK_BYTES``.
+
+    A line ends at LF, CR LF or a lone CR, as for a text file opened with
+    ``newline=""``; a CR that ends a block waits for the next byte. The last
+    run may lack its line end. No line end holds a byte of a multibyte UTF-8
+    character, so no run splits one.
+    """
+    pending: list[bytes] = []
+    for block in iter(lambda: handle.read(_BLOCK_BYTES), b""):
+        cut = max(block.rfind(b"\n"), block.rfind(b"\r", 0, len(block) - 1)) + 1
+        if cut:
+            pending.append(block[:cut])
+            yield b"".join(pending)
+            pending = []
+            block = block[cut:]
+        pending.append(block)
+    if any(pending):
+        yield b"".join(pending)
+
+
+def _line_ends(run: bytes, view: np.ndarray) -> np.ndarray:
+    """Offset of the last byte of each line of ``run``, a run of whole lines."""
+    ends = view == 10
+    if b"\r" in run:
+        lone = view == 13
+        lone[:-1] &= view[1:] != 10
+        ends |= lone
+    ends = np.flatnonzero(ends)
+    if run[-1] not in b"\r\n":
+        ends = np.append(ends, len(run) - 1)
+    return ends
+
+
+def _candidates(run: bytes, view: np.ndarray, ends: np.ndarray, width: int, needle) -> np.ndarray:
+    """Indexes of the lines of ``run`` that the row loop must parse.
+
+    Before the header (``width`` 0) and without a non-empty ``needle`` that
+    is every line. Otherwise a line is picked if it holds ``needle``, holds
+    a quote, or has fewer than ``width - 1`` commas: a line that is none of
+    these is a quote-free row of another id, or a comment, which the loop
+    would skip. Picking too many lines is safe; missing one is not.
+    """
+    if not width or not needle:
+        return np.arange(len(ends))
+    commas = np.searchsorted(np.flatnonzero(view == 44), ends)
+    picked = np.diff(commas, prepend=0) < width - 1
+    if b'"' in run:
+        picked[np.searchsorted(ends, np.flatnonzero(view == 34))] = True
+    hits = []
+    at = run.find(needle)
+    while at >= 0:
+        hits.append(at)
+        at = run.find(needle, at + 1)
+    picked[np.searchsorted(ends, hits)] = True
+    return np.flatnonzero(picked)
+
+
+def _split_line(line: str) -> Optional[list[str]]:
+    """The fields of one CSV line, or None for a blank or comment line."""
+    head = line.lstrip()
+    if not head or head[0] == "#":
+        return None
+    if '"' in line:
+        return next(csv.reader((line,)))
+    return line.rstrip("\r\n").split(",")
+
+
 def _csv_rows(path: str | Path, columns: Sequence[str], match: Optional[str] = None):
     """Stream (line_number, fields) from a CSV, skipping comment and blank
     lines; ``fields`` holds the named ``columns`` in that order.
 
     Each physical line is parsed on its own, so an unterminated quote fails
-    its own row rather than swallowing the next one. With ``match``, only
-    rows whose first named column, stripped, equals it are yielded; every
-    row's column count is still checked. A quote-free line holds its fields
-    as substrings, so one that does not contain ``match`` is skipped on its
-    raw text. Other lines are split as usual, since ``csv`` reads
-    ``"S0"26C`` as ``S026C``.
+    its own row rather than swallowing the next one. The file is scanned in
+    blocks of ``_BLOCK_BYTES``, each checked as UTF-8 as a whole, and only
+    the lines ``_candidates`` picks are decoded and split. With ``match``,
+    only rows whose first named column, stripped, equals it are yielded;
+    every row's column count is still checked. A quote-free line holds its
+    fields as substrings, so one that does not contain ``match`` is skipped
+    on its raw bytes. Lines holding a quote are split as usual, since
+    ``csv`` reads ``"S0"26C`` as ``S026C``.
     """
+    needle = None if match is None else match.encode("utf-8", "surrogatepass")
+    header = None
+    width = 0  # the header's column count, once it is read
+    lineno = 0  # lines before the current run
     try:
-        with open(path, newline="", encoding="utf-8-sig") as handle:
-            header = None
-            scoped = False  # true once the header is read, if match is given
-            for lineno, line in enumerate(handle, start=1):
-                head = line.lstrip()
-                if not head or head[0] == "#":
-                    continue
-                if scoped and match not in line and '"' not in line:
-                    if line.count(",") < width - 1:
-                        raise SchemaError(f"{path} line {lineno}: expected {width} columns")
-                    continue
-                if '"' in line:
-                    cells = next(csv.reader((line,)))
-                else:
-                    cells = line.rstrip("\r\n").split(",")
-                if header is None:
-                    header = cells
-                    missing = [c for c in columns if c not in header]
-                    if missing:
-                        raise SchemaError(f"{path}: missing columns {missing}")
-                    pick = operator.itemgetter(*(header.index(name) for name in columns))
-                    width = len(header)
-                    scoped = match is not None
-                elif len(cells) < width:
-                    raise SchemaError(f"{path} line {lineno}: expected {width} columns")
-                else:
-                    row = pick(cells)
-                    if not scoped or row[0].strip() == match:
-                        yield lineno, row
+        with open(path, "rb") as handle:
+            for run in _line_runs(handle):
+                if not lineno:
+                    run = run.removeprefix(codecs.BOM_UTF8)
+                if not run.isascii():
+                    run.decode("utf-8")  # a bad byte fails the read in any row
+                while run:
+                    view = np.frombuffer(run, np.uint8)
+                    ends = _line_ends(run, view)
+                    picked = _candidates(run, view, ends, width, needle)
+                    bounds = np.concatenate(([0], ends + 1))  # line k is bounds[k]:bounds[k + 1]
+                    rest = b""
+                    for k, start, stop in zip(picked.tolist(), bounds[picked].tolist(),
+                                              bounds[picked + 1].tolist()):
+                        cells = _split_line(run[start:stop].decode("utf-8"))
+                        if cells is None:
+                            continue
+                        if header is None:
+                            header = cells
+                            missing = [c for c in columns if c not in header]
+                            if missing:
+                                raise SchemaError(f"{path}: missing columns {missing}")
+                            pick = operator.itemgetter(*(header.index(name) for name in columns))
+                            width = len(header)
+                            rest = run[stop:]  # pick its lines by the header's width
+                            lineno += k + 1
+                            break
+                        if len(cells) < width:
+                            raise SchemaError(f"{path} line {lineno + k + 1}: expected {width} columns")
+                        row = pick(cells)
+                        if match is None or row[0].strip() == match:
+                            yield lineno + k + 1, row
+                    else:
+                        lineno += len(ends)
+                    run = rest
     except UnicodeDecodeError:
         raise SchemaError(undecodable(path)) from None
     if header is None:
@@ -277,7 +361,9 @@ def load_kpis(path: str | Path, cell_id: Optional[str] = None) -> list[KpiSeries
     Without ``cell_id`` every row is checked. With it, only that cell's
     series are loaded: every row's column count is checked, but only the
     rows of that cell are fully checked, so a bad value in another cell's
-    row is not reported.
+    row is not reported. The file is read in blocks (see ``_csv_rows``),
+    so memory beyond the loaded series does not grow with the file, and a
+    scoped read decodes and splits only the lines that may hold the cell.
     """
     # (cell_id, metric) -> {microseconds since the epoch: value}
     buckets: dict[tuple[str, str], dict[int, float]] = {}

@@ -4,6 +4,7 @@ import shutil
 
 import pytest
 
+from eventcell import network
 from eventcell.cli import _association_record, main
 from eventcell.ingest import write_events
 from eventcell.network import MAX_SERIES_SAMPLES, Cell, Site, load_kpis, periodic_kind
@@ -438,6 +439,48 @@ def test_analyze_stray_row_keeps_the_daily_baseline(detection7, tmp_path):
     assert top["VENUE"] == "Riverside Arena" and top["FLAGGED"]
     r = {c["METRIC"]: c["R"] for c in top["CORRELATED_CELLS"]}
     assert r["NUM_DROPS"] == pytest.approx(0.925, abs=1e-3)
+
+
+def test_analyze_names_the_configured_metrics_when_none_match(detection7, tmp_path, capsys):
+    bundle, _, _ = _edited_detection7(detection7, tmp_path)
+    config = json.loads((bundle / "config.json").read_text())
+    config["metrics"] = ["NOPE"]
+    (bundle / "config.json").write_text(json.dumps(config))
+    capsys.readouterr()
+    assert _analyze_cell_1a(bundle) == 1
+    assert ("error: no KPI series for cell 'CELL_1A' among the configured metrics ['NOPE']; "
+            "it has ['NUM_DROPS', 'NUM_RRC_CONN']") in capsys.readouterr().err
+
+
+# The scan parses only the analyzed cell's lines, but checks every block as
+# UTF-8. Blocks of 4 KiB put the file's last row about 77 blocks after the
+# last CELL_1A row.
+
+def test_analyze_rejects_a_bad_byte_blocks_after_the_cell(detection7, tmp_path, monkeypatch,
+                                                         capsys):
+    monkeypatch.setattr(network, "_BLOCK_BYTES", 4096)
+    bundle, kpis, _ = _edited_detection7(detection7, tmp_path)
+    data = kpis.read_bytes()
+    assert (len(data) - 2) // 4096 - data.rfind(b"\nCELL_1A,") // 4096 > 50
+    kpis.write_bytes(data[:-2] + b"\xff\n")  # in the value of another cell's row
+    last = data.count(b"\n")
+    capsys.readouterr()
+    assert _analyze_cell_1a(bundle) == 1
+    assert f"error: {kpis} line {last}: not valid UTF-8" in capsys.readouterr().err
+
+
+def test_analyze_reads_a_character_split_by_a_block_edge(detection7, tmp_path, monkeypatch):
+    monkeypatch.setattr(network, "_BLOCK_BYTES", 4096)
+    bundle, kpis, _ = _edited_detection7(detection7, tmp_path)
+    data = kpis.read_bytes()
+    row = "CELL_2B,CAÍDAS,2017-03-05T20:00:00Z,1\n".encode()
+    # a comment line that puts the first byte of "Í" last in a block
+    pad = (4095 - len(data) - 2 - row.index("Í".encode())) % 4096
+    kpis.write_bytes(data + b"#" + b"-" * pad + b"\n" + row)
+    assert (len(data) + pad + 2 + row.index("Í".encode()) + 1) % 4096 == 0
+    assert _analyze_cell_1a(bundle) == 0
+    for name in ("report.json", "summary.csv"):
+        assert (bundle / "out" / name).read_bytes() == (detection7 / "out" / name).read_bytes()
 
 
 def test_usage_error_is_config_exit():

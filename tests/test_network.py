@@ -16,6 +16,7 @@ from eventcell.errors import (
     SchemaError,
     UnparseableTimestamp,
 )
+from eventcell import network
 from eventcell.fsutil import atomic_write_text
 from eventcell.network import (
     CYCLE_HOURS,
@@ -565,9 +566,9 @@ def test_series_grid_limit_is_inclusive(tmp_path, monkeypatch):
 _SCOPED_CELLS = ("S026C", "S026CX", "XS026C", "S0,26C", 'S0"26C')
 
 
-def _scoped_field(data):
+def _scoped_field(data, forms=("plain", "quoted", "split")):
     def render(text):
-        form = data.draw(st.sampled_from(["plain", "quoted", "split"]))
+        form = data.draw(st.sampled_from(forms))
         if form == "split" and text and not set(text) & set(',"'):
             cut = data.draw(st.integers(0, len(text)))
             return '"' + text[:cut] + '"' + text[cut:]
@@ -609,6 +610,109 @@ def test_scoped_load_kpis_matches_full_load(tmp_path_factory, table, data, cell,
             line[1] = " "
     path.write_text("".join(map("".join, lines)), encoding="utf-8", newline="")
     assert scoped == _outcome(load_kpis, path)
+
+
+# --- the block scan behind every CSV read ------------------------------------
+#
+# ``_csv_rows`` reads a file in blocks of ``_BLOCK_BYTES`` and parses only the
+# lines its numpy scan picks. The reference is the row loop it replaced, over
+# the lines of a text file, which parses every line it does not skip on its
+# raw text.
+
+def _reference_csv_rows_scoped(path, columns, match=None):
+    with open(path, newline="", encoding="utf-8-sig") as handle:
+        header = None
+        scoped = False  # true once the header is read, if match is given
+        for lineno, line in enumerate(handle, start=1):
+            head = line.lstrip()
+            if not head or head[0] == "#":
+                continue
+            if scoped and match not in line and '"' not in line:
+                if line.count(",") < width - 1:
+                    raise SchemaError(f"{path} line {lineno}: expected {width} columns")
+                continue
+            if '"' in line:
+                cells = next(csv.reader((line,)))
+            else:
+                cells = line.rstrip("\r\n").split(",")
+            if header is None:
+                header = cells
+                missing = [c for c in columns if c not in header]
+                if missing:
+                    raise SchemaError(f"{path}: missing columns {missing}")
+                index = [header.index(name) for name in columns]
+                width = len(header)
+                scoped = match is not None
+            elif len(cells) < width:
+                raise SchemaError(f"{path} line {lineno}: expected {width} columns")
+            else:
+                row = tuple(cells[i] for i in index)
+                if not scoped or row[0].strip() == match:
+                    yield lineno, row
+    if header is None:
+        raise SchemaError(f"{path}: no header row")
+
+
+def _rows_outcome(rows):
+    try:
+        return list(rows)
+    except EventcellError as exc:
+        return type(exc), str(exc)
+
+
+_EDGE_CELLS = _SCOPED_CELLS + ("Célula_1",)
+
+
+@settings(max_examples=150, deadline=None)
+@given(table=_kpi_tables(cells=_EDGE_CELLS, max_keys=4), data=st.data(),
+       cell=st.sampled_from(_EDGE_CELLS + ("S02", "é", None)),
+       mutation=st.sampled_from([None] + _MUTATION_NAMES),
+       block=st.integers(1, 16) | st.just(network._BLOCK_BYTES))
+def test_scoped_load_kpis_block_edges(tmp_path_factory, table, data, cell, mutation, block):
+    # Blocks of 1-16 bytes split the byte-order mark, CR LF pairs, the
+    # two-byte "é" and the id itself; the rows and errors must not change.
+    header, rows = table
+    options = {}
+    if mutation is not None:
+        rows, options = _mutate(rows, data, mutation)
+    junk = ("", f"# {cell}\n", "\n", "  \r", f"  # {cell},x\r\n", "#é\r\n")
+    # quote-free rows of other cells are the ones the scan skips
+    forms = data.draw(st.sampled_from([("plain",), ("plain", "quoted", "split")]))
+    lines = _render_lines(header, rows, data, junk=junk, ends=("\n", "\r\n", "\r"),
+                          field=_scoped_field(data, forms), **options)
+    if data.draw(st.booleans()):
+        lines[0][0] = "\ufeff" + lines[0][0]
+    if data.draw(st.booleans()):  # a mark that does not start the file is text
+        line = lines[data.draw(st.integers(0, len(lines) - 1))]
+        line[1] = "\ufeff" + line[1]
+    if data.draw(st.booleans()):
+        lines[-1][2] = ""  # no line end after the last line
+    path = tmp_path_factory.mktemp("edges") / "kpis.csv"
+    path.write_text("".join(map("".join, lines)), encoding="utf-8", newline="")
+    expected = _rows_outcome(_reference_csv_rows_scoped(path, KPI_COLUMNS, cell))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(network, "_BLOCK_BYTES", block)
+        assert _rows_outcome(network._csv_rows(path, KPI_COLUMNS, cell)) == expected
+
+
+def test_scoped_load_kpis_parses_only_candidate_lines(tmp_path, monkeypatch):
+    # 20,000 rows, 10 of them of C1, spread over several blocks. Only those,
+    # the header, comment and blank lines and a quoted row reach the line
+    # parser; a scan that fell back to parsing every line would fail here.
+    lines = ["# export\n", "cell_id,metric,timestamp,value\n", "# C1 below\n", "\n",
+             '"X07",M,2017-03-01T00:00:00Z,1\n']
+    for i in range(20_000):
+        cell = "C1" if i % 2_000 == 0 else f"X{i % 100:02d}"
+        lines.append(f"{cell},M,{format_rfc3339(T0 + timedelta(hours=i // 100))},{i}\n")
+    path = _write(tmp_path, "k.csv", "".join(lines))
+    assert path.stat().st_size > 4 * network._BLOCK_BYTES
+    parsed = []
+    split_line = network._split_line
+    monkeypatch.setattr(network, "_split_line", lambda line: parsed.append(line) or split_line(line))
+    [series] = load_kpis(path, "C1")
+    assert series.cell_id == "C1" and np.count_nonzero(~np.isnan(series.values)) == 10
+    assert len(parsed) <= 10 + 5
+    assert sum(line.startswith("C1,") for line in parsed) == 10
 
 
 _GRID_EPOCHS = [datetime(2017, 3, 1, tzinfo=timezone.utc),
