@@ -187,7 +187,8 @@ def _line_ends(run: bytes, view: np.ndarray) -> np.ndarray:
     return ends
 
 
-def _candidates(run: bytes, view: np.ndarray, ends: np.ndarray, width: int, needle) -> np.ndarray:
+def _candidates(run: bytes, view: np.ndarray, ends: np.ndarray, width: int,
+                needle: Optional[bytes]) -> np.ndarray:
     """Indexes of the lines of ``run`` that the row loop must parse.
 
     Before the header (``width`` 0) and without a non-empty ``needle`` that
