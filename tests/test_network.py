@@ -682,7 +682,7 @@ def test_scoped_load_kpis_block_edges(tmp_path_factory, table, data, cell, mutat
                           field=_scoped_field(data, forms), **options)
     if data.draw(st.booleans()):
         lines[0][0] = "\ufeff" + lines[0][0]
-    if data.draw(st.booleans()):  # a mark that does not start the file is text
+    if data.draw(st.booleans()):  # a mark past the file's first bytes is text
         line = lines[data.draw(st.integers(0, len(lines) - 1))]
         line[1] = "\ufeff" + line[1]
     if data.draw(st.booleans()):
