@@ -151,10 +151,20 @@ class CauseCandidate:
     close_sites: tuple[tuple[Site, float], ...]  # of the first event, nearest first
 
 
+def bearing_offsets(cells: Sequence[Cell], site: Site, point: tuple[float, float]) -> list[float]:
+    """Angle between each cell's azimuth and the site-to-point bearing, in
+    [0, 180]. The cells share the site's location, so the bearing is taken
+    once; it raises ``DegenerateGeometry`` where it is undefined, unless
+    there are no cells."""
+    if not cells:
+        return []
+    bearing = initial_bearing_deg(site.location, point)
+    return [angle_offset_deg(cell.azimuth, bearing) for cell in cells]
+
+
 def cell_bearing_offset(cell: Cell, site: Site, point: tuple[float, float]) -> float:
     """Angle between the cell's azimuth and the site-to-point bearing, in [0, 180]."""
-    bearing = initial_bearing_deg(site.location, point)
-    return angle_offset_deg(cell.azimuth, bearing)
+    return bearing_offsets([cell], site, point)[0]
 
 
 # Events per distance matrix; bounds the matrix at 128 x len(sites) floats.
@@ -224,7 +234,8 @@ def filter_by_bearing(
     cells: Sequence[Cell], site: Site, point: tuple[float, float]
 ) -> list[Cell]:
     """Keep cells whose bearing offset to the point is strictly inside half the beamwidth."""
-    return [c for c in cells if cell_bearing_offset(c, site, point) < c.hor_width / 2.0]
+    offsets = bearing_offsets(cells, site, point)
+    return [cell for cell, offset in zip(cells, offsets) if offset < cell.hor_width / 2.0]
 
 
 # ---------------------------------------------------------------------------

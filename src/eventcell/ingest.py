@@ -9,6 +9,7 @@ so new feeds are adapted by configuration rather than code.
 from __future__ import annotations
 
 import csv
+import functools
 import hashlib
 import io
 import json
@@ -26,6 +27,7 @@ from .errors import (
     MissingRequiredField,
     SchemaError,
     SourceUnreachable,
+    UnparseableTimestamp,
 )
 from .fsutil import atomic_write_text, undecodable
 from .timeutil import format_rfc3339, parse_rfc3339, resolve_zone
@@ -646,32 +648,71 @@ def event_to_record(event: SocialEvent) -> dict:
     return record
 
 
-def event_from_record(record: Mapping) -> SocialEvent:
+# The JSON types a canonical record field may hold; NoneType is null, which
+# stands for an absent optional field. ``json.loads`` yields exactly these
+# types, so a test of type identity is exact and keeps booleans out of the
+# numbers.
+_STRING, _OPTIONAL = frozenset({str}), frozenset({str, type(None)})
+_NUMBER = frozenset({int, float, type(None)})
+_FIELD_TYPES = {
+    "EVENT_ID": _STRING, "NAME": _STRING, "START_TIME": _STRING, "SOURCE_ID": _STRING,
+    "RAW_ID": _STRING, "END_TIME": _OPTIONAL, "VENUE": _OPTIONAL, "CATEGORY": _OPTIONAL,
+    "LAT": _NUMBER, "LON": _NUMBER, "POPULARITY": _NUMBER,
+    "ADDRESS": frozenset({dict, type(None)}), "MERGE_NOTES": frozenset({list, type(None)}),
+}
+_ADDRESS_PARTS = ("STREET", "CITY", "REGION", "COUNTRY", "TEXT")
+_JSON_NAMES = {bool: "a boolean", int: "a number", float: "a number", str: "a string",
+               list: "an array", dict: "an object", type(None): "null"}
+
+
+def _json_type(value) -> str:
+    return _JSON_NAMES.get(type(value), type(value).__name__)
+
+
+def event_from_record(record: dict, parse_time=parse_rfc3339) -> SocialEvent:
+    """Build an event from its canonical record; ``parse_time`` parses
+    START_TIME and END_TIME.
+
+    Raises ``SchemaError`` naming the field when the record is not an
+    object, lacks a required field or holds a field of the wrong JSON type
+    (``_FIELD_TYPES``; ADDRESS parts and MERGE_NOTES items are strings).
+    """
+    if not isinstance(record, dict):
+        raise SchemaError(f"expected an object, not {_json_type(record)}")
+    for key, value in record.items():
+        types = _FIELD_TYPES.get(key)
+        if types and type(value) not in types:
+            expected = " or ".join(sorted({_JSON_NAMES[kind] for kind in types}))
+            raise SchemaError(f"field {key} must be {expected}, not {_json_type(value)}")
     address = None
-    if "ADDRESS" in record:
-        raw_addr = record["ADDRESS"]
-        address = Address(
-            street=raw_addr.get("STREET"),
-            city=raw_addr.get("CITY"),
-            region=raw_addr.get("REGION"),
-            country=raw_addr.get("COUNTRY"),
-            text=raw_addr.get("TEXT"),
+    raw_address = record.get("ADDRESS")
+    if raw_address is not None:
+        parts = list(map(raw_address.get, _ADDRESS_PARTS))
+        if not _OPTIONAL.issuperset(map(type, parts)):
+            raise SchemaError("field ADDRESS must hold strings")
+        address = Address(*parts)
+    merge_notes = tuple(record.get("MERGE_NOTES") or ())
+    if not _STRING.issuperset(map(type, merge_notes)):
+        raise SchemaError("field MERGE_NOTES must hold strings")
+    end = record.get("END_TIME")
+    try:
+        return SocialEvent(
+            event_id=record["EVENT_ID"],
+            name=record["NAME"],
+            start_time=parse_time(record["START_TIME"]),
+            end_time=parse_time(end) if end is not None else None,
+            lat=record.get("LAT"),
+            lon=record.get("LON"),
+            venue=record.get("VENUE"),
+            address=address,
+            category=record.get("CATEGORY"),
+            popularity=record.get("POPULARITY"),
+            source_id=record["SOURCE_ID"],
+            raw_id=record["RAW_ID"],
+            merge_notes=merge_notes,
         )
-    return SocialEvent(
-        event_id=record["EVENT_ID"],
-        name=record["NAME"],
-        start_time=parse_rfc3339(record["START_TIME"]),
-        end_time=parse_rfc3339(record["END_TIME"]) if "END_TIME" in record else None,
-        lat=record.get("LAT"),
-        lon=record.get("LON"),
-        venue=record.get("VENUE"),
-        address=address,
-        category=record.get("CATEGORY"),
-        popularity=record.get("POPULARITY"),
-        source_id=record["SOURCE_ID"],
-        raw_id=record["RAW_ID"],
-        merge_notes=tuple(record.get("MERGE_NOTES", ())),
-    )
+    except KeyError as exc:
+        raise SchemaError(f"missing field {exc.args[0]}") from None
 
 
 def write_events(events: Iterable[SocialEvent], path: str | Path) -> None:
@@ -680,16 +721,19 @@ def write_events(events: Iterable[SocialEvent], path: str | Path) -> None:
 
 
 def read_events(path: str | Path) -> list[SocialEvent]:
+    """Read a canonical event file. Events share few distinct times, so
+    each distinct timestamp text is parsed once per call."""
     try:
         text = Path(path).read_text(encoding="utf-8")
     except UnicodeDecodeError:
         raise SchemaError(undecodable(path)) from None
+    parse_time = functools.lru_cache(maxsize=None)(parse_rfc3339)
     events = []
     for lineno, line in enumerate(text.splitlines(), start=1):
         if not line.strip():
             continue
         try:
-            events.append(event_from_record(json.loads(line)))
-        except (json.JSONDecodeError, KeyError) as exc:
+            events.append(event_from_record(json.loads(line), parse_time))
+        except (json.JSONDecodeError, SchemaError, InvariantError, UnparseableTimestamp) as exc:
             raise SchemaError(f"{path} line {lineno}: bad canonical event record ({exc})") from None
     return events

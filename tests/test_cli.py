@@ -1,11 +1,16 @@
 """Command-line pipeline: stage handoffs, exit codes, reproducibility."""
 import json
+import math
+import re
 import shutil
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from eventcell import network
-from eventcell.cli import _association_record, main
+from eventcell import cli, network
+from eventcell.cli import _association_record, _json_text, _write_json_report, main
+from eventcell.errors import InvariantError
 from eventcell.ingest import write_events
 from eventcell.network import MAX_SERIES_SAMPLES, Cell, Site, load_kpis, periodic_kind
 
@@ -240,6 +245,61 @@ def test_association_record_has_no_cells_a_subnormal_step_from_the_site():
     at_site = {"SITE_ID": "S0", "DISTANCE_KM": 0.0}
     assert site_entry(0.0, 0.0) == at_site
     assert site_entry(0.0, 5e-324) == at_site  # no defined bearing, handled as at the site
+
+
+def test_associate_report_round_trips(t1_dir, tmp_path):
+    assert main(["ingest", "--config", _config(t1_dir), "--out", str(tmp_path)]) == 0
+    assert main(["associate", "--config", _config(t1_dir), "--out", str(tmp_path)]) == 0
+    path = tmp_path / "associations.json"
+    document = json.loads(path.read_text())
+    re_serialized = json.dumps(document, indent=2, ensure_ascii=False) + "\n"
+    assert re_serialized == path.read_text()
+
+
+# --- report writer -------------------------------------------------------------
+#
+# Both reports are written by ``_json_text``; the stdlib encoder, which gives
+# the same bytes more slowly, is the oracle.
+
+_JSON_CHARS = st.characters(exclude_categories=()) | st.sampled_from(
+    ["\ud800", "\udfff", "\x00", "\x1f", "\x7f", '"', "\\", "\u2028", "é", "😍"])
+_JSON_LEAVES = (st.none() | st.booleans() | st.integers() | st.integers(-2**200, 2**200)
+                | st.floats(allow_nan=False, allow_infinity=False)
+                | st.sampled_from([-0.0, 0.0, 1e16, 5e-324, 1e-7, 1.7976931348623157e308])
+                | st.text(_JSON_CHARS))
+_JSON_KEYS = st.text(_JSON_CHARS, max_size=8)
+_JSON_TREES = st.recursive(_JSON_LEAVES, lambda children: (
+    st.lists(children, max_size=4) | st.lists(children, max_size=4).map(tuple)
+    | st.dictionaries(_JSON_KEYS, children, max_size=4)), max_leaves=25)
+
+
+@settings(max_examples=300, deadline=None)
+@given(records=st.lists(st.dictionaries(_JSON_KEYS, _JSON_TREES, max_size=6), max_size=4),
+       stamp=st.none() | st.text(_JSON_CHARS))
+def test_report_writer_matches_stdlib_encoder(records, stamp):
+    document = {"records": records}
+    if stamp is not None:
+        document["GENERATED_AT"] = stamp
+    for value in (document, records, *records):
+        assert _json_text(value, "\n") == json.dumps(
+            value, indent=2, ensure_ascii=False, allow_nan=False)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_report_with_a_non_finite_float_exits_1_naming_the_file(t1_dir, tmp_path, capsys,
+                                                                monkeypatch, value):
+    path = tmp_path / "report.json"
+    with pytest.raises(InvariantError, match=re.escape(f"{path}: out of range float value")):
+        _write_json_report([{"R_VALUES": [0.5, [value]]}], path, False)
+    assert not path.exists()
+
+    assert main(["ingest", "--config", _config(t1_dir), "--out", str(tmp_path)]) == 0
+    monkeypatch.setattr(cli, "_association_record", lambda *args: {"DISTANCE_KM": value})
+    capsys.readouterr()
+    assert main(["associate", "--config", _config(t1_dir), "--out", str(tmp_path)]) == 1
+    assert f"error: {tmp_path / 'associations.json'}: out of range float value" in (
+        capsys.readouterr().err)
+    assert list(tmp_path.glob("associations.json*")) == []
 
 
 # --- analyze -------------------------------------------------------------------
@@ -546,3 +606,43 @@ def test_undecodable_scenario_spec_exits_1(tmp_path, capsys):
     spec.write_bytes(b'{\n\xff"seed": 1}\n')
     assert main(["simulate", "--spec", str(spec), "--out", str(tmp_path / "out")]) == 1
     assert f"error: {spec} line 2: not valid UTF-8" in capsys.readouterr().err
+
+
+@pytest.fixture(scope="module")
+def t1_events(t1_dir, tmp_path_factory):
+    """The canonical event file that ingest writes for table1."""
+    out = tmp_path_factory.mktemp("t1_events")
+    assert main(["ingest", "--config", _config(t1_dir), "--out", str(out)]) == 0
+    return out / "events.ndjson"
+
+
+@pytest.mark.parametrize("edit, message", [
+    ({"LAT": "36.7"}, "field LAT must be a number or null, not a string"),
+    ({"LAT": True}, "field LAT must be a number or null, not a boolean"),
+    ({"ADDRESS": "x"}, "field ADDRESS must be an object or null, not a string"),
+    ({"ADDRESS": {"CITY": 5}}, "field ADDRESS must hold strings"),
+    ({"MERGE_NOTES": 3}, "field MERGE_NOTES must be an array or null, not a number"),
+    ({"MERGE_NOTES": ["a", None]}, "field MERGE_NOTES must hold strings"),
+    ({"EVENT_ID": 5}, "field EVENT_ID must be a string, not a number"),
+    ({"NAME": None}, "field NAME must be a string, not null"),
+    ({"RAW_ID": ...}, "missing field RAW_ID"),
+    ([1, 2], "expected an object, not an array"),
+], ids=["lat-string", "lat-bool", "address-string", "address-part", "notes-number",
+        "notes-item", "id-number", "name-null", "raw-id-missing", "array-line"])
+@pytest.mark.parametrize("stage", [["filter"], ["associate"], ["analyze", "--cell", "CELL_1A"]],
+                         ids=["filter", "associate", "analyze"])
+def test_mistyped_canonical_event_exits_1_naming_file_line_and_field(
+        t1_dir, t1_events, tmp_path, capsys, edit, message, stage):
+    lines = t1_events.read_text(encoding="utf-8").splitlines()
+    if isinstance(edit, dict):
+        record = json.loads(lines[1])
+        record.update(edit)
+        lines[1] = json.dumps({k: v for k, v in record.items() if v is not ...})
+    else:
+        lines[1] = json.dumps(edit)
+    events = tmp_path / "events.ndjson"
+    events.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    assert main([stage[0], "--config", _config(t1_dir), "--events", str(events),
+                 "--out", str(tmp_path / "out"), *stage[1:]]) == 1
+    assert (f"error: {events} line 2: bad canonical event record ({message})"
+            in capsys.readouterr().err)

@@ -590,8 +590,10 @@ def test_scoped_load_kpis_matches_full_load(tmp_path_factory, table, data, cell,
         rows = [{cell if key == "extra" else key: text for key, text in row.items()}
                 for row in rows]
     junk = ("", f"# {cell}\n", "\n", "  \r", f"  # {cell},x\r\n")
+    # quote-free rows of other cells are the ones the scan skips
+    forms = data.draw(st.sampled_from([("plain",), ("plain", "quoted", "split")]))
     lines = _render_lines(header, rows, data, junk=junk, ends=("\n", "\r\n", "\r"),
-                          field=_scoped_field(data), **options)
+                          field=_scoped_field(data, forms), **options)
     if data.draw(st.booleans()):
         lines[0][0] = "\ufeff" + lines[0][0]
     path = tmp_path_factory.mktemp("scoped") / "kpis.csv"
