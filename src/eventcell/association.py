@@ -181,22 +181,16 @@ _CHUNK_EVENTS = 128
 _PRUNE_MARGIN_KM = 0.01
 
 
-def associate_events(
+def _candidate_sites(
     events: Sequence[SocialEvent], sites: Sequence[Site], params: GeoAssocParams
-) -> Iterator[list[tuple[Site, float]]]:
-    """Yield the close sites of each event, in event order: sites within
-    max_dist_km, nearest first (ties broken by site_id), capped at max_sites.
-    Yielding lets callers drop the lists they do not keep.
-
-    When fewer than min_sites fall inside the distance limit, the limit is
-    waived and the min_sites nearest sites are taken instead.
+) -> Iterator[tuple[SocialEvent, np.ndarray]]:
+    """Yield each event with a mask over ``sites`` that holds every one of
+    its close sites, in event order.
 
     A numpy distance matrix only prunes: with every matrix value within
     ``_PRUNE_MARGIN_KM`` of the scalar one, the sites kept below
     ``max(max_dist_km, k-th smallest distance) + 2 * margin`` include every
     site within max_dist_km and the k = min(min_sites, len(sites)) nearest.
-    Those are re-measured with ``haversine_km``, and the rule is applied to
-    them, so distances and order are those of a scalar pass over all sites.
     """
     for event in events:
         if not event.has_coordinates():
@@ -210,17 +204,56 @@ def associate_events(
         limit = np.full(len(chunk), params.max_dist_km)
         if k:
             np.maximum(limit, np.partition(dist, k - 1, axis=1)[:, k - 1], out=limit)
-        keep = dist <= (limit + 2.0 * _PRUNE_MARGIN_KM)[:, None]
-        for event, row in zip(chunk, keep):
-            point = (event.lat, event.lon)
-            ranked = sorted(
-                ((sites[j], haversine_km(point, sites[j].location)) for j in np.flatnonzero(row)),
-                key=lambda pair: (pair[1], pair[0].site_id),
-            )
-            within = [pair for pair in ranked if pair[1] <= params.max_dist_km]
-            if len(within) < params.min_sites:
-                within = ranked[: params.min_sites]
-            yield within[: params.max_sites]
+        yield from zip(chunk, dist <= (limit + 2.0 * _PRUNE_MARGIN_KM)[:, None])
+
+
+def _close_sites(
+    event: SocialEvent, sites: Sequence[Site], candidates: np.ndarray, params: GeoAssocParams
+) -> list[tuple[Site, float]]:
+    """The association rule over the event's candidate sites, each
+    re-measured with ``haversine_km``."""
+    point = (event.lat, event.lon)
+    ranked = sorted(
+        ((sites[j], haversine_km(point, sites[j].location)) for j in np.flatnonzero(candidates)),
+        key=lambda pair: (pair[1], pair[0].site_id),
+    )
+    within = [pair for pair in ranked if pair[1] <= params.max_dist_km]
+    if len(within) < params.min_sites:
+        within = ranked[: params.min_sites]
+    return within[: params.max_sites]
+
+
+def associate_events(
+    events: Sequence[SocialEvent], sites: Sequence[Site], params: GeoAssocParams
+) -> Iterator[list[tuple[Site, float]]]:
+    """Yield the close sites of each event, in event order: sites within
+    max_dist_km, nearest first (ties broken by site_id), capped at max_sites.
+    Yielding lets callers drop the lists they do not keep.
+
+    When fewer than min_sites fall inside the distance limit, the limit is
+    waived and the min_sites nearest sites are taken instead.
+
+    Only the sites ``_candidate_sites`` keeps are re-measured with
+    ``haversine_km`` and put through the rule, so distances and order are
+    those of a scalar pass over all sites.
+    """
+    for event, candidates in _candidate_sites(events, sites, params):
+        yield _close_sites(event, sites, candidates, params)
+
+
+def _events_near_site(
+    events: Sequence[SocialEvent], sites: Sequence[Site], site_id: str, params: GeoAssocParams
+) -> Iterator[tuple[SocialEvent, list[tuple[Site, float]]]]:
+    """Yield (event, close sites) for each event, in event order, whose
+    close sites include a site with ``site_id``. An event's candidate mask
+    holds all of its close sites, so only events whose mask holds such a
+    site are measured."""
+    own = [j for j, site in enumerate(sites) if site.site_id == site_id]
+    for event, candidates in _candidate_sites(events, sites, params):
+        if any(candidates[j] for j in own):
+            close = _close_sites(event, sites, candidates, params)
+            if any(site.site_id == site_id for site, _ in close):
+                yield event, close
 
 
 def associate_geographic(
@@ -454,9 +487,7 @@ def identify_causes(
 
     by_venue: dict[str, list] = defaultdict(list)  # venue key -> [(event, close sites)]
     located = [event for event in events if event.has_coordinates()]
-    for event, close in zip(located, associate_events(located, sites, params)):
-        if not any(s.site_id == site.site_id for s, _ in close):
-            continue
+    for event, close in _events_near_site(located, sites, site.site_id, params):
         try:
             if not filter_by_bearing([degraded_cell], site, (event.lat, event.lon)):
                 continue

@@ -10,6 +10,7 @@ Exit codes: 0 success, 1 configuration or input error, 2 I/O failure.
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import json
 import logging
@@ -221,11 +222,11 @@ def load_config(path: str | Path) -> RunConfig:
 # Report records
 # ---------------------------------------------------------------------------
 
-def _event_fields(event: ingest.SocialEvent) -> dict:
+def _event_fields(event: ingest.SocialEvent, format_time=format_rfc3339) -> dict:
     return {
         "NAME": event.name,
-        "START_TIME": format_rfc3339(event.start_time),
-        "END_TIME": format_rfc3339(event.end_time) if event.end_time else None,
+        "START_TIME": format_time(event.start_time),
+        "END_TIME": format_time(event.end_time) if event.end_time else None,
         "VENUE": event.venue,
         "ADDRESS": ingest.address_record(event.address),
         "LAT": event.lat,
@@ -238,10 +239,11 @@ def _association_record(
     event: ingest.SocialEvent,
     close_sites: list,
     cells_by_site: dict[str, list[network.Cell]],
+    format_time=format_rfc3339,
 ) -> dict:
     """The report record of one event; ``cells_by_site`` lists each site's
-    cells sorted by cell id."""
-    record = _event_fields(event)
+    cells sorted by cell id, and ``format_time`` formats its timestamps."""
+    record = _event_fields(event, format_time)
     point = (event.lat, event.lon)
     site_entries = []
     for site, distance in close_sites:
@@ -488,8 +490,11 @@ def cmd_associate(config_path: str, events_path: Optional[str], out: Optional[st
             skipped += 1
             logger.info("event %s has no coordinates; not associated", event.event_id)
     closes = association.associate_events(located, sites, config.geo_assoc)
+    # events share few distinct times, so each is formatted once per call
+    format_time = functools.lru_cache(maxsize=None)(format_rfc3339)
     records = [
-        _association_record(event, close, cells_by_site) for event, close in zip(located, closes)
+        _association_record(event, close, cells_by_site, format_time)
+        for event, close in zip(located, closes)
     ]
 
     report_path = out_dir / "associations.json"

@@ -14,6 +14,7 @@ import hashlib
 import io
 import json
 import logging
+import math
 import unicodedata
 from dataclasses import dataclass, replace
 from datetime import datetime, timedelta, tzinfo
@@ -103,8 +104,9 @@ class SocialEvent:
             raise InvariantError(f"{self.event_id}: latitude {self.lat} out of range")
         if self.lon is not None and not -180.0 <= self.lon <= 180.0:
             raise InvariantError(f"{self.event_id}: longitude {self.lon} out of range")
-        if self.popularity is not None and self.popularity < 0:
-            raise InvariantError(f"{self.event_id}: negative popularity")
+        if self.popularity is not None and not 0.0 <= self.popularity < math.inf:
+            raise InvariantError(f"{self.event_id}: popularity {self.popularity} is not a "
+                                 "finite number >= 0")
 
     def has_coordinates(self) -> bool:
         return self.lat is not None and self.lon is not None
@@ -305,6 +307,12 @@ def fetch_raw(source: SourceConfig, geo: GeoScope, time: TimeScope) -> list[dict
     return _decode_records(text, source)
 
 
+def _lines(text: str) -> list[str]:
+    """Split NDJSON text at LF, CR LF and lone CR only: ``str.splitlines``
+    also breaks at U+2028, U+2029 and U+0085, which JSON strings may hold raw."""
+    return text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+
+
 def _decode_records(text: str, source: SourceConfig) -> list[dict]:
     if source.format == "json_records":
         stripped = text.lstrip()
@@ -317,7 +325,7 @@ def _decode_records(text: str, source: SourceConfig) -> list[dict]:
                 raise MalformedPayload(f"source '{source.source_id}': JSON array must hold objects")
             return items
         records = []
-        for lineno, line in enumerate(text.splitlines(), start=1):
+        for lineno, line in enumerate(_lines(text), start=1):
             if not line.strip():
                 continue
             try:
@@ -716,8 +724,16 @@ def event_from_record(record: dict, parse_time=parse_rfc3339) -> SocialEvent:
 
 
 def write_events(events: Iterable[SocialEvent], path: str | Path) -> None:
-    lines = [json.dumps(event_to_record(e), ensure_ascii=False) for e in events]
+    lines = [json.dumps(event_to_record(e), ensure_ascii=False, allow_nan=False) for e in events]
     atomic_write_text(path, "\n".join(lines) + ("\n" if lines else ""))
+
+
+def _reject_constant(token: str):
+    raise SchemaError(f"{token} is not a JSON number")
+
+
+# ``json.loads`` reads the non-standard tokens NaN, Infinity and -Infinity.
+_STRICT_DECODER = json.JSONDecoder(parse_constant=_reject_constant)
 
 
 def read_events(path: str | Path) -> list[SocialEvent]:
@@ -729,11 +745,11 @@ def read_events(path: str | Path) -> list[SocialEvent]:
         raise SchemaError(undecodable(path)) from None
     parse_time = functools.lru_cache(maxsize=None)(parse_rfc3339)
     events = []
-    for lineno, line in enumerate(text.splitlines(), start=1):
+    for lineno, line in enumerate(_lines(text), start=1):
         if not line.strip():
             continue
         try:
-            events.append(event_from_record(json.loads(line), parse_time))
+            events.append(event_from_record(_STRICT_DECODER.decode(line), parse_time))
         except (json.JSONDecodeError, SchemaError, InvariantError, UnparseableTimestamp) as exc:
             raise SchemaError(f"{path} line {lineno}: bad canonical event record ({exc})") from None
     return events

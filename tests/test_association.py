@@ -229,22 +229,24 @@ def test_associate_events_matches_scalar_reference(case):
     assert _pairs(associate_events(events, sites, params)) == _pairs(expected)
 
 
+def _perturbed_kernel(seed):
+    """``distances_km`` with every entry moved by 1.5e-3 km, either way: the
+    worst numpy-vs-math error derived next to _PRUNE_MARGIN_KM."""
+    def perturbed(*coordinates):
+        dist = distances_km(*coordinates)
+        return dist + np.random.default_rng(seed).choice([-1.5e-3, 1.5e-3], size=dist.shape)
+
+    return perturbed
+
+
 @settings(max_examples=200, deadline=None)
 @given(_association_cases(), st.integers(0, 2**32 - 1))
 def test_associate_events_tolerates_kernel_error_up_to_its_bound(case, seed):
-    # The prune stays exact for any matrix within 1.5e-3 km of the scalar
-    # distances, the worst numpy-vs-math error derived next to
-    # _PRUNE_MARGIN_KM; perturb every entry by that much, either way.
+    # The prune stays exact for any matrix within the kernel's error bound.
     events, sites, params = case
-    exact = association.distances_km
-
-    def perturbed(*coordinates):
-        dist = exact(*coordinates)
-        return dist + np.random.default_rng(seed).choice([-1.5e-3, 1.5e-3], size=dist.shape)
-
     expected = [_reference_associate(event, sites, params) for event in events]
     with pytest.MonkeyPatch.context() as patched:
-        patched.setattr(association, "distances_km", perturbed)
+        patched.setattr(association, "distances_km", _perturbed_kernel(seed))
         got = list(associate_events(events, sites, params))
     assert _pairs(got) == _pairs(expected)
 
@@ -268,6 +270,34 @@ def test_associate_events_needs_coordinates():
                               GeoAssocParams()))
 
 
+def _reference_near_site(events, sites, site_id, params):
+    """(event, close sites) of each event whose scalar close sites include a
+    site with ``site_id``."""
+    for event in events:
+        close = _reference_associate(event, sites, params)
+        if any(site.site_id == site_id for site, _ in close):
+            yield event, close
+
+
+def _near(pairs):
+    return [(event.event_id, _pairs([close])[0]) for event, close in pairs]
+
+
+@settings(max_examples=300, deadline=None)
+@given(_association_cases(), st.none() | st.integers(0, 2**32 - 1))
+def test_scoped_association_matches_scalar_reference(case, seed):
+    # For every site, the scoped path keeps the events, and gives them the
+    # close sites, that the scalar reference picks; with a seed, under a
+    # kernel perturbed by its error bound.
+    events, sites, params = case
+    with pytest.MonkeyPatch.context() as patched:
+        if seed is not None:
+            patched.setattr(association, "distances_km", _perturbed_kernel(seed))
+        for site_id in sorted({site.site_id for site in sites}):
+            got = association._events_near_site(events, sites, site_id, params)
+            assert _near(got) == _near(_reference_near_site(events, sites, site_id, params))
+
+
 @pytest.mark.parametrize("seed", [None, *range(20)])
 def test_identify_causes_same_with_scalar_association(monkeypatch, seed):
     bundle = table1_fixture() if seed is None else build(detection_spec(seed))
@@ -277,9 +307,37 @@ def test_identify_causes_same_with_scalar_association(monkeypatch, seed):
                 for cell in bundle.cells}
 
     got = run()
-    monkeypatch.setattr(association, "associate_events", lambda events, sites, params: (
-        _reference_associate(event, sites, params) for event in events))
+    scoped = []
+
+    def reference(events, sites, site_id, params):
+        scoped.append(site_id)
+        return _reference_near_site(events, sites, site_id, params)
+
+    monkeypatch.setattr(association, "_events_near_site", reference)
     assert got == run()
+    assert scoped == [cell.site_id for cell in bundle.cells]  # the oracle stood in each time
+
+
+def test_identify_causes_measures_only_events_whose_mask_holds_the_site(monkeypatch):
+    rng = random.Random(8)
+    origin = (36.72, -4.42)
+    sites = [_site_at(f"S{i:03d}", origin, rng.uniform(0, 360), rng.uniform(0.0, 8.0))
+             for i in range(60)]
+    events = [make_event(raw_id=f"e{i}", lat=lat, lon=lon) for i, (lat, lon) in enumerate(
+        destination_point(origin, rng.uniform(0, 360), rng.uniform(0.0, 6.0)) for _ in range(300))]
+    params = GeoAssocParams(2.0, 2, 7)
+    masks = [mask for _, mask in association._candidate_sites(events, sites, params)]
+    measured = []
+    monkeypatch.setattr(association, "haversine_km",
+                        lambda a, b: measured.append(b) or haversine_km(a, b))
+    for j, site in enumerate(sites[:10]):
+        cell = Cell(site.cell_ids[0], site.site_id, 0.0, 360.0, "LTE")
+        series = hourly_series(np.zeros(72), cell_id=cell.cell_id, metric="M")
+        measured.clear()
+        identify_causes(cell, events, sites, [series], params)
+        holding = [mask for mask in masks if mask[j]]
+        assert len(measured) == sum(int(mask.sum()) for mask in holding)
+        assert len(holding) < len(events) / 2
 
 
 def test_geo_params_validation():

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from eventcell import cli, network
 from eventcell.cli import _association_record, _json_text, _write_json_report, main
 from eventcell.errors import InvariantError
-from eventcell.ingest import write_events
+from eventcell.ingest import read_events, write_events
 from eventcell.network import MAX_SERIES_SAMPLES, Cell, Site, load_kpis, periodic_kind
 
 from conftest import make_event
@@ -645,4 +645,63 @@ def test_mistyped_canonical_event_exits_1_naming_file_line_and_field(
     assert main([stage[0], "--config", _config(t1_dir), "--events", str(events),
                  "--out", str(tmp_path / "out"), *stage[1:]]) == 1
     assert (f"error: {events} line 2: bad canonical event record ({message})"
+            in capsys.readouterr().err)
+
+
+# --- event feed lines and non-finite numbers -------------------------------------
+
+def _feed_config(tmp_path, feed: str) -> str:
+    """A one-source run over the NDJSON ``feed`` text, written as is."""
+    (tmp_path / "feed.ndjson").write_bytes(feed.encode("utf-8"))
+    config = {
+        "sources": [{"source_id": "feed", "locator": "feed.ndjson", "field_map": {
+            "n": "NAME", "t": "START_TIME", "la": "LAT", "lo": "LON", "p": "POPULARITY"}}],
+        "filter": {"geo": {"box": [36.0, 37.0, -5.0, -4.0]},
+                   "time": {"start": "2017-03-01T00:00:00Z", "end": "2017-04-01T00:00:00Z"}},
+        "paths": {"output": "out"},
+    }
+    (tmp_path / "config.json").write_text(json.dumps(config), encoding="utf-8")
+    return str(tmp_path / "config.json")
+
+
+def _feed_line(name, hour, popularity="12"):
+    return json.dumps({"n": name, "t": f"2017-03-10T{hour:02d}:00:00Z", "la": 36.72,
+                       "lo": -4.42, "p": popularity}, ensure_ascii=False)
+
+
+@pytest.mark.parametrize("end", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
+def test_line_separators_inside_names_pass_ingest_and_filter(tmp_path, capsys, end):
+    # JSON strings may hold U+2028, U+2029 and U+0085 raw, and the event
+    # file keeps them raw; only LF, CR LF and CR end a line.
+    names = ["Jazz\u2028Night", "Open\u2029Air", "Next\x85Line"]
+    config = _feed_config(tmp_path, end.join(_feed_line(n, 10 + i) for i, n in enumerate(names)))
+    assert main(["ingest", "--config", config]) == 0
+    assert "\u2028" in (tmp_path / "out" / "events.ndjson").read_text(encoding="utf-8")
+    assert main(["filter", "--config", config]) == 0
+    kept = read_events(tmp_path / "out" / "filtered.ndjson")
+    assert sorted(event.name for event in kept) == sorted(names)
+    assert "kept: 3" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-Infinity", "1e999"])
+def test_ingest_skips_a_record_with_a_non_finite_popularity(tmp_path, capsys, value):
+    config = _feed_config(tmp_path, _feed_line("Bad", 10, value) + "\n" + _feed_line("Good", 11))
+    assert main(["ingest", "--config", config]) == 0
+    assert "parsed: 1" in capsys.readouterr().out
+    [event] = read_events(tmp_path / "out" / "events.ndjson")
+    assert (event.name, event.popularity) == ("Good", 12.0)
+
+
+@pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity"])
+@pytest.mark.parametrize("field", ["POPULARITY", "EXTRA"])
+def test_filter_rejects_a_non_finite_token_naming_the_line(tmp_path, capsys, token, field):
+    config = _feed_config(tmp_path, _feed_line("A", 10) + "\n" + _feed_line("B", 11))
+    assert main(["ingest", "--config", config]) == 0
+    events = tmp_path / "out" / "events.ndjson"
+    lines = events.read_text(encoding="utf-8").splitlines()
+    lines[1] = lines[1][:-1] + f', "{field}": {token}}}'
+    events.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    capsys.readouterr()
+    assert main(["filter", "--config", config]) == 1
+    assert (f"error: {events} line 2: bad canonical event record ({token} is not a JSON number)"
             in capsys.readouterr().err)

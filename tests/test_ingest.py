@@ -1,6 +1,7 @@
 """Acquisition: source fetch, record parsing, geocoding consolidation,
 string similarity and duplicate fusion."""
 import json
+import math
 import os
 import subprocess
 import sys
@@ -23,6 +24,7 @@ from eventcell.errors import (
 )
 from eventcell.ingest import (
     _bounded_levenshtein,
+    _decode_records,
     _merge_group,
     Address,
     BoundingBox,
@@ -586,6 +588,32 @@ def test_event_file_round_trip(tmp_path):
     path = tmp_path / "events.ndjson"
     write_events(events, path)
     assert read_events(path) == events
+
+
+def test_event_file_round_trips_line_separators_in_strings(tmp_path):
+    events = [make_event(raw_id=str(i), name=name, venue=f"Sala{name}")
+              for i, name in enumerate(["Jazz\u2028Night", "Open\u2029Air", "Next\x85Line"])]
+    path = tmp_path / "events.ndjson"
+    write_events(events, path)
+    assert read_events(path) == events
+
+
+def test_decode_records_ends_lines_only_at_lf_crlf_and_cr(simple_source):
+    # fetched text (an HTTP body) keeps its line ends untranslated
+    names = ["Jazz\u2028Night", "Open\u2029Air", "Next\x85Line"]
+    lines = [json.dumps({"title": n, "when": "2017-03-01T20:00Z"}, ensure_ascii=False)
+             for n in names]
+    source = simple_source("")
+    text = f"{lines[0]}\r\n{lines[1]}\r{lines[2]}\n"
+    assert [record["title"] for record in _decode_records(text, source)] == names
+    with pytest.raises(MalformedPayload, match="line 4"):
+        _decode_records(text + "not json\r", source)
+
+
+@pytest.mark.parametrize("popularity", [math.nan, math.inf, -math.inf, -1.0])
+def test_event_rejects_a_negative_or_non_finite_popularity(popularity):
+    with pytest.raises(InvariantError, match="popularity"):
+        make_event(popularity=popularity)
 
 
 @settings(max_examples=50)
