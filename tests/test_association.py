@@ -280,7 +280,7 @@ def _reference_near_site(events, sites, site_id, params):
 
 
 def _near(pairs):
-    return [(event.event_id, _pairs([close])[0]) for event, close in pairs]
+    return [(event.event_id, [(site.site_id, d) for site, d in close]) for event, close in pairs]
 
 
 @settings(max_examples=300, deadline=None)
