@@ -4,51 +4,4 @@ Gaussian impact indicators against KPI windows, and rank the venues most
 likely behind a performance degradation.
 """
 
-from .association import (
-    CauseCandidate,
-    Eaw,
-    EawParams,
-    EventCellCorrelation,
-    GeoAssocParams,
-    SocialIndicator,
-    VenueImpactReport,
-    aggregate_venue,
-    associate_geographic,
-    build_eaw,
-    cell_bearing_offset,
-    correlate_event,
-    filter_by_bearing,
-    identify_causes,
-    pearson,
-    social_indicator,
-)
-from .filtering import FilterConfig, FilterTrace, rank_numeric, run_filters
-from .geo import destination_point, haversine_km, initial_bearing_deg
-from .ingest import (
-    Address,
-    BoundingBox,
-    CircleArea,
-    FixtureGeocoder,
-    GeoScope,
-    HttpGeocoder,
-    SocialEvent,
-    SourceConfig,
-    TimeScope,
-    consolidate,
-    fetch_raw,
-    fuse_sources,
-    parse_record,
-    similarity,
-)
-from .network import (
-    Cell,
-    KpiSeries,
-    NormalizedSeries,
-    Site,
-    load_kpis,
-    load_topology,
-    normalize_periodic,
-)
-from .scenario import ScenarioSpec, build, detection_spec, funnel_fixture, generate, table1_fixture
-
 __version__ = "0.1.0"

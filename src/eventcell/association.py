@@ -162,11 +162,6 @@ def bearing_offsets(cells: Sequence[Cell], site: Site, point: tuple[float, float
     return [angle_offset_deg(cell.azimuth, bearing) for cell in cells]
 
 
-def cell_bearing_offset(cell: Cell, site: Site, point: tuple[float, float]) -> float:
-    """Angle between the cell's azimuth and the site-to-point bearing, in [0, 180]."""
-    return bearing_offsets([cell], site, point)[0]
-
-
 # Events per distance matrix; bounds the matrix at 128 x len(sites) floats.
 _CHUNK_EVENTS = 128
 # ``distances_km`` evaluates ``haversine_km``'s formula with numpy's sin, cos

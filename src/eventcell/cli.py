@@ -20,11 +20,11 @@ from dataclasses import dataclass
 from datetime import datetime, timedelta
 from json.encoder import encode_basestring
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
 import click
 
-from . import association, filtering, ingest, network, scenario
+from . import association, filtering, ingest, network
 from .errors import (
     ConfigError,
     DegenerateGeometry,
@@ -35,6 +35,9 @@ from .errors import (
 )
 from .fsutil import atomic_write_text, undecodable
 from .timeutil import UTC, format_rfc3339, parse_rfc3339
+
+if TYPE_CHECKING:
+    from .scenario import ScenarioSpec
 
 logger = logging.getLogger(__name__)
 
@@ -67,17 +70,37 @@ def _require(mapping: dict, key: str, context: str):
     return mapping[key]
 
 
+_REQUIRED = object()
+
+
+def _typed(mapping: dict, key: str, context: str, kind: type, default=_REQUIRED,
+           items: Optional[type] = None):
+    """``mapping[key]`` checked to be a JSON object (``kind`` dict) or array
+    (``kind`` list, of ``items`` where given); ``default`` when the key is
+    absent, and also when it is null if ``default`` is None."""
+    value = _require(mapping, key, context) if default is _REQUIRED else mapping.get(key, default)
+    if value is None and default is None:
+        return None
+    if not isinstance(value, kind) or (items and not all(isinstance(v, items) for v in value)):
+        name = {dict: "object", list: "array", str: "string"}
+        what = f"an array of {name[items]}s" if items else f"an {name[kind]}"
+        raise ConfigError(f"{context}: {key!r} must be {what}")
+    return value
+
+
 def _parse_geo_scope(raw: dict) -> ingest.GeoScope:
     categorical = box = circle = None
-    if raw.get("categorical"):
-        cat = raw["categorical"]
+    cat = _typed(raw, "categorical", "filter.geo", dict, None)
+    if cat:
         categorical = ingest.CategoricalScope(
             country=cat.get("country"), region=cat.get("region"), city=cat.get("city")
         )
-    if raw.get("box"):
-        box = ingest.BoundingBox(*[float(v) for v in raw["box"]])
-    if raw.get("circle"):
-        circle = ingest.CircleArea(*[float(v) for v in raw["circle"]])
+    box_raw = _typed(raw, "box", "filter.geo", list, None)
+    if box_raw:
+        box = ingest.BoundingBox(*[float(v) for v in box_raw])
+    circle_raw = _typed(raw, "circle", "filter.geo", list, None)
+    if circle_raw:
+        circle = ingest.CircleArea(*[float(v) for v in circle_raw])
     return ingest.GeoScope(categorical=categorical, box=box, circle=circle)
 
 
@@ -93,11 +116,13 @@ def load_config(path: str | Path) -> RunConfig:
         raise ConfigError(f"{path}: invalid JSON ({exc})") from None
     except UnicodeDecodeError:
         raise ConfigError(undecodable(path)) from None
+    if not isinstance(raw, dict):
+        raise ConfigError(f"{path}: the config must be a JSON object")
     base = path.parent
 
     try:
         sources = []
-        for entry in _require(raw, "sources", str(path)):
+        for entry in _typed(raw, "sources", str(path), list, items=dict):
             locator = entry.get("locator", "")
             if entry.get("kind", "file") == "file" and not Path(locator).is_absolute():
                 locator = str(base / locator)
@@ -107,7 +132,7 @@ def load_config(path: str | Path) -> RunConfig:
                     kind=entry.get("kind", "file"),
                     locator=locator,
                     format=entry.get("format", "json_records"),
-                    field_map=_require(entry, "field_map", "source"),
+                    field_map=_typed(entry, "field_map", "source", dict),
                     priority=int(entry.get("priority", 0)),
                     timezone=entry.get("timezone", "UTC"),
                 )
@@ -125,41 +150,48 @@ def load_config(path: str | Path) -> RunConfig:
                 geocoder = ingest.FixtureGeocoder.from_csv(table)
             else:
                 geocoder = ingest.HttpGeocoder(geo_raw["endpoint"])
+        elif geo_raw is not None:
+            raise ConfigError(f"{path}: 'geocoder' must be a string, an object or null")
 
-        filt_raw = _require(raw, "filter", str(path))
-        geo_scope = _parse_geo_scope(_require(filt_raw, "geo", "filter"))
-        time_raw = _require(filt_raw, "time", "filter")
+        filt_raw = _typed(raw, "filter", str(path), dict)
+        geo_scope = _parse_geo_scope(_typed(filt_raw, "geo", "filter", dict))
+        time_raw = _typed(filt_raw, "time", "filter", dict)
         time_scope = ingest.TimeScope(
             start=parse_rfc3339(_require(time_raw, "start", "filter.time")),
             end=parse_rfc3339(_require(time_raw, "end", "filter.time")),
         )
+
+        def strings(key: str, default):
+            return _typed(filt_raw, key, "filter", list, default, items=str)
+
+        region_whitelist = strings("region_whitelist", None)
         filter_cfg = filtering.FilterConfig(
-            required_fields=frozenset(filt_raw.get("required_fields", ["START_TIME", "LAT", "LON"])),
-            blacklist_terms=tuple(filt_raw.get("blacklist_terms", [])),
-            blacklist_target_fields=frozenset(filt_raw.get("blacklist_target_fields", ["VENUE", "NAME"])),
-            region_whitelist=(
-                frozenset(filt_raw["region_whitelist"]) if filt_raw.get("region_whitelist") else None
-            ),
+            required_fields=frozenset(strings("required_fields", ["START_TIME", "LAT", "LON"])),
+            blacklist_terms=tuple(strings("blacklist_terms", [])),
+            blacklist_target_fields=frozenset(
+                strings("blacklist_target_fields", ["VENUE", "NAME"])),
+            region_whitelist=frozenset(region_whitelist) if region_whitelist else None,
             geo=geo_scope,
             time=time_scope,
             soft_mode=bool(filt_raw.get("soft_mode", False)),
         )
 
-        assoc_raw = raw.get("geo_assoc", {})
+        assoc_raw = _typed(raw, "geo_assoc", str(path), dict, {})
         geo_assoc = association.GeoAssocParams(
             max_dist_km=float(assoc_raw.get("max_dist_km", 2.0)),
             min_sites=int(assoc_raw.get("min_sites", 1)),
             max_sites=int(assoc_raw.get("max_sites", 7)),
         )
 
-        eaw_raw = raw.get("eaw", {})
+        eaw_raw = _typed(raw, "eaw", str(path), dict, {})
         eaw = association.EawParams(
             pre_margin=int(eaw_raw.get("pre_margin", 1)),
             post_margin=int(eaw_raw.get("post_margin", 1)),
             default_duration=timedelta(hours=float(eaw_raw.get("default_duration_hours", 3.0))),
             category_durations={
                 name: timedelta(hours=float(hours))
-                for name, hours in eaw_raw.get("category_durations_hours", {}).items()
+                for name, hours in
+                _typed(eaw_raw, "category_durations_hours", "eaw", dict, {}).items()
             },
             sigma_scale=float(eaw_raw.get("sigma_scale", 1.0)),
         )
@@ -174,7 +206,7 @@ def load_config(path: str | Path) -> RunConfig:
         if normalization not in ("auto", "none", *network.CYCLE_HOURS):
             raise ConfigError(f"unknown normalization {normalization!r}")
 
-        fusion_raw = raw.get("fusion", {})
+        fusion_raw = _typed(raw, "fusion", str(path), dict, {})
         name_threshold = float(fusion_raw.get("name_threshold", 0.85))
         if not 0.0 <= name_threshold <= 1.0:
             raise ConfigError(f"fusion.name_threshold {name_threshold} outside [0, 1]")
@@ -183,7 +215,7 @@ def load_config(path: str | Path) -> RunConfig:
             raise ConfigError(
                 f"fusion.time_tolerance_minutes {tolerance_minutes} must be finite and >= 0")
 
-        paths_raw = raw.get("paths", {})
+        paths_raw = _typed(raw, "paths", str(path), dict, {})
 
         def _resolve(key: str) -> Optional[Path]:
             value = paths_raw.get(key)
@@ -204,7 +236,7 @@ def load_config(path: str | Path) -> RunConfig:
             filter=filter_cfg,
             geo_assoc=geo_assoc,
             eaw=eaw,
-            metrics=list(raw.get("metrics", [])),
+            metrics=list(_typed(raw, "metrics", str(path), list, [], items=str)),
             r_threshold=r_threshold,
             aggregate_stat=stat,
             normalization=normalization,
@@ -595,6 +627,8 @@ def cmd_analyze(config_path: str, cell_id: str, events_path: Optional[str],
 @click.option("--out", required=True, type=click.Path())
 def cmd_simulate(spec_path: Optional[str], preset: Optional[str], seed: int, out: str):
     """Generate a synthetic fixture bundle with ground truth."""
+    from . import scenario  # only simulate needs it, so other stages start without it
+
     if (spec_path is None) == (preset is None):
         raise ConfigError("pass exactly one of --spec or --preset")
     if preset == "table1":
@@ -610,8 +644,10 @@ def cmd_simulate(spec_path: Optional[str], preset: Optional[str], seed: int, out
         click.echo(f"wrote {path}")
 
 
-def load_scenario_spec(path: str | Path) -> scenario.ScenarioSpec:
+def load_scenario_spec(path: str | Path) -> ScenarioSpec:
     """Read a ScenarioSpec from its JSON file form."""
+    from . import scenario
+
     try:
         raw = json.loads(Path(path).read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:

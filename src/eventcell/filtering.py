@@ -1,6 +1,6 @@
-"""Event reduction and ranking: availability, geographic, semantic and
-temporal filters, plus numeric ordering. Runs purely on social data,
-before any network information is consulted.
+"""Event reduction: availability, geographic, semantic and temporal
+filters. Runs purely on social data, before any network information is
+consulted.
 """
 from __future__ import annotations
 
@@ -17,8 +17,6 @@ from .geo import haversine_km
 from .ingest import GeoScope, SocialEvent, TimeScope, normalize_text
 
 logger = logging.getLogger(__name__)
-
-STAGES = ("availability", "geographic", "semantic", "temporal")
 
 DEFAULT_REQUIRED_FIELDS = frozenset({"START_TIME", "LAT", "LON"})
 DEFAULT_BLACKLIST_TARGETS = frozenset({"VENUE", "NAME"})
@@ -39,7 +37,6 @@ _FIELD_GETTERS = {
     "CATEGORY": lambda e: e.category,
     "POPULARITY": lambda e: e.popularity,
 }
-NUMERIC_RANK_FIELDS = frozenset({"POPULARITY", "LAT", "LON"})
 
 
 def field_value(event: SocialEvent, name: str):
@@ -188,25 +185,6 @@ def run_filters(
         dropped_ids = {t.event_id for t in traces}
         kept = kept + [e for e in events if e.event_id in dropped_ids]
     return kept, traces
-
-
-def rank_numeric(
-    events: Sequence[SocialEvent], key: str, direction: str = "desc"
-) -> list[SocialEvent]:
-    """Stable sort on a numeric field; events missing the key go last."""
-    if key not in NUMERIC_RANK_FIELDS:
-        raise ConfigError(f"rank key {key!r} is not a numeric canonical field")
-    if direction not in ("asc", "desc"):
-        raise ConfigError(f"rank direction must be 'asc' or 'desc', got {direction!r}")
-    sign = -1.0 if direction == "desc" else 1.0
-
-    def sort_key(event: SocialEvent):
-        value = field_value(event, key)
-        if value is None:
-            return (1, 0.0)
-        return (0, sign * float(value))
-
-    return sorted(events, key=sort_key)
 
 
 def write_traces(traces: Iterable[FilterTrace], path: str | Path) -> None:

@@ -55,7 +55,6 @@ CANONICAL_FIELDS = frozenset(
     }
 )
 FIELD_ALIASES = {"TYPE": "CATEGORY"}
-NUMERIC_FIELDS = frozenset({"LAT", "LON", "POPULARITY"})
 
 DEFAULT_NAME_THRESHOLD = 0.85
 DEFAULT_TIME_TOLERANCE = timedelta(minutes=30)

@@ -16,7 +16,7 @@ import csv
 import io
 import math
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from datetime import datetime, timedelta
 from itertools import repeat
 from pathlib import Path
@@ -110,11 +110,6 @@ class KpiSeries:
     def sample_time(self, n: int) -> datetime:
         return self.epoch0 + n * self.period
 
-    @property
-    def end_time(self) -> datetime:
-        """Exclusive end of the covered span."""
-        return self.epoch0 + len(self.values) * self.period
-
     def floor_index(self, ts: datetime) -> int:
         """Index of the sample interval containing ts (may fall outside the array)."""
         return (ts - self.epoch0) // self.period
@@ -123,19 +118,6 @@ class KpiSeries:
         """Smallest index n with sample_time(n) >= ts."""
         quotient, remainder = divmod(ts - self.epoch0, self.period)
         return quotient + (1 if remainder else 0)
-
-
-@dataclass(frozen=True, eq=False)
-class NormalizedSeries(KpiSeries):
-    """A KPI series whose values are residuals against a periodic baseline."""
-
-    baseline: np.ndarray = None  # type: ignore[assignment]
-    slot_kind: str = "hour_of_week"
-
-    def reconstruct(self) -> np.ndarray:
-        """Residuals plus baseline: recovers the original sample values."""
-        slots = slot_indices(self.epoch0, self.period, len(self.values), self.slot_kind)
-        return self.values + self.baseline[slots]
 
 
 def slot_indices(epoch0: datetime, period: timedelta, n: int, kind: str) -> np.ndarray:
@@ -459,8 +441,9 @@ def periodic_kind(series: KpiSeries) -> Optional[str]:
                  if _covers_two_cycles(series, kind) and _slots_filled(series, kind)), None)
 
 
-def normalize_periodic(series: KpiSeries, period_hint: str = "hour_of_week") -> NormalizedSeries:
-    """Subtract a per-slot median baseline (hour-of-week or hour-of-day).
+def normalize_periodic(series: KpiSeries, period_hint: str = "hour_of_week") -> KpiSeries:
+    """The series' residuals against a per-slot median baseline (hour-of-week
+    or hour-of-day).
 
     The median is robust to the sparse event-driven spikes this pipeline
     hunts for, so those survive into the residuals. Requires at least two
@@ -477,13 +460,4 @@ def normalize_periodic(series: KpiSeries, period_hint: str = "hour_of_week") -> 
         members = series.values[(slots == slot) & ~np.isnan(series.values)]
         if members.size:
             baseline[slot] = float(np.median(members))
-    residuals = series.values - baseline[slots]
-    return NormalizedSeries(
-        cell_id=series.cell_id,
-        metric=series.metric,
-        epoch0=series.epoch0,
-        period=series.period,
-        values=residuals,
-        baseline=baseline,
-        slot_kind=period_hint,
-    )
+    return replace(series, values=series.values - baseline[slots])

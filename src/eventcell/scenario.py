@@ -446,11 +446,6 @@ def _decoy_name(index: int) -> str:
             return " ".join(reversed(words))
 
 
-def generate(spec: ScenarioSpec, out_dir: str | Path) -> list[Path]:
-    """Build the scenario and write all fixture files plus the ground truth."""
-    return build(spec).write(out_dir)
-
-
 def detection_spec(seed: int, noise_scale: float = 1.0) -> ScenarioSpec:
     """Preset: one causal venue anchored to SITE_1 among 12 in-area decoy
     venues (two events each), over ten days with moderate noise."""

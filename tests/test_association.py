@@ -16,8 +16,8 @@ from eventcell.association import (
     aggregate_venue,
     associate_events,
     associate_geographic,
+    bearing_offsets,
     build_eaw,
-    cell_bearing_offset,
     correlate_event,
     filter_by_bearing,
     identify_causes,
@@ -43,14 +43,14 @@ from conftest import T0, hourly_series, make_event
 def test_offset_along_azimuth(tri_site):
     site, cells = tri_site
     point = destination_point(site.location, 120.0, 1.0)
-    assert cell_bearing_offset(cells[1], site, point) == pytest.approx(0.0, abs=1e-6)
+    assert bearing_offsets([cells[1]], site, point)[0] == pytest.approx(0.0, abs=1e-6)
 
 
 def test_offset_wraparound(tri_site):
     site, _ = tri_site
     cell = Cell("C_W", "S1", 350.0, 120.0)
     point = destination_point(site.location, 10.0, 1.0)
-    assert cell_bearing_offset(cell, site, point) == pytest.approx(20.0, abs=1e-6)
+    assert bearing_offsets([cell], site, point)[0] == pytest.approx(20.0, abs=1e-6)
 
 
 def test_bearing_filter_tri_sector(tri_site):
@@ -64,7 +64,7 @@ def test_bearing_filter_strict_boundary(tri_site):
     site, _ = tri_site
     cell = Cell("C_E", "S1", 0.0, 120.0)
     point = destination_point(site.location, 60.0, 1.0)
-    offset = cell_bearing_offset(cell, site, point)
+    offset = bearing_offsets([cell], site, point)[0]
     if offset >= 60.0:  # destination/bearing round-trip lands at >= 60
         assert filter_by_bearing([cell], site, point) == []
 
@@ -640,13 +640,13 @@ def test_identify_causes_ordering_invariant():
 def test_offset_longitude_shift_invariance(tri_site):
     site, cells = tri_site
     point = destination_point(site.location, 77.0, 1.2)
-    base = cell_bearing_offset(cells[0], site, point)
+    base = bearing_offsets([cells[0]], site, point)[0]
     for delta in (90.0, 180.0, 271.5):
         shifted_site = Site(
             site.site_id, site.lat,
             (site.lon + delta + 180.0) % 360.0 - 180.0, site.cell_ids,
         )
         shifted_point = (point[0], (point[1] + delta + 180.0) % 360.0 - 180.0)
-        assert cell_bearing_offset(cells[0], shifted_site, shifted_point) == pytest.approx(
+        assert bearing_offsets([cells[0]], shifted_site, shifted_point)[0] == pytest.approx(
             base, abs=1e-9
         )

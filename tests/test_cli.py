@@ -176,6 +176,39 @@ def test_fusion_range_bounds_accepted(t1_dir, tmp_path, values):
     assert main(["ingest", "--config", _t1_config_with(t1_dir, tmp_path, "fusion", values)]) == 0
 
 
+@pytest.mark.parametrize("keys, value", [
+    (("geo_assoc",), []),
+    (("eaw",), "x"),
+    (("fusion",), 5),
+    (("paths",), []),
+    (("sources",), [1]),
+    (("sources", 0, "field_map"), ["NAME"]),
+    (("filter",), []),
+    (("filter", "geo", "categorical"), "Spain"),
+    (("eaw", "category_durations_hours"), []),
+    (("metrics",), "NUM_DROPS"),
+    (("filter", "blacklist_terms"), "bar"),
+    (("filter", "geo", "box"), "1234"),
+    (("geocoder",), 5),
+], ids=["geo-assoc-array", "eaw-string", "fusion-number", "paths-array", "source-number",
+        "field-map-array", "filter-array", "categorical-string", "category-durations-array",
+        "metrics-string", "blacklist-string", "box-string", "geocoder-number"])
+def test_config_section_of_wrong_json_type_exits_1(t1_dir, tmp_path, capsys, keys, value):
+    config = json.loads((t1_dir / "config.json").read_text())
+    config["sources"][0]["locator"] = str(t1_dir / "events.ndjson")
+    config["paths"] = {}
+    section = config
+    for key in keys[:-1]:
+        section = section[key]
+    section[keys[-1]] = value
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    assert main(["ingest", "--config", str(path), "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert f"'{keys[-1]}'" in err and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
 # --- filter ------------------------------------------------------------------
 
 def test_filter_conservation(t1_dir, tmp_path, capsys):

@@ -1,5 +1,5 @@
-"""Filter stages: availability, geographic, semantic, temporal, numeric
-ranking, and the composed pipeline's conservation properties."""
+"""Filter stages: availability, geographic, semantic, temporal, and the
+composed pipeline's conservation properties."""
 import math
 from datetime import timedelta
 
@@ -13,7 +13,6 @@ from eventcell.filtering import (
     filter_geographic,
     filter_semantic,
     filter_temporal,
-    rank_numeric,
     run_filters,
     write_traces,
 )
@@ -231,48 +230,6 @@ def test_temporal_in_out_labels():
     kept, traces = filter_temporal(inside + outside, cfg)
     assert {e.raw_id for e in kept} == {e.raw_id for e in inside}
     assert len(traces) == 3
-
-
-# --- rank_numeric -----------------------------------------------------------
-
-def test_rank_missing_last():
-    events = [
-        make_event(raw_id="a", popularity=3.0),
-        make_event(raw_id="b", popularity=None),
-        make_event(raw_id="c", popularity=7.0),
-    ]
-    ranked = rank_numeric(events, "POPULARITY", "desc")
-    assert [e.raw_id for e in ranked] == ["c", "a", "b"]
-    ranked_asc = rank_numeric(events, "POPULARITY", "asc")
-    assert [e.raw_id for e in ranked_asc] == ["a", "c", "b"]
-
-
-def test_rank_stability_on_ties():
-    events = [make_event(raw_id=str(i), popularity=5.0) for i in range(6)]
-    assert rank_numeric(events, "POPULARITY", "desc") == events
-
-
-def test_rank_matches_reference_sort():
-    import random
-
-    rng = random.Random(7)
-    events = [
-        make_event(raw_id=str(i), popularity=rng.choice([None, float(rng.randint(0, 50))]))
-        for i in range(50)
-    ]
-    ranked = rank_numeric(events, "POPULARITY", "desc")
-    # independent oracle: decorate with (missing, -value, original index), stable sort
-    oracle = sorted(
-        enumerate(events),
-        key=lambda pair: (pair[1].popularity is None,
-                          -(pair[1].popularity or 0.0), pair[0]),
-    )
-    assert ranked == [e for _, e in oracle]
-
-
-def test_rank_rejects_non_numeric_key():
-    with pytest.raises(ConfigError):
-        rank_numeric([make_event()], "NAME")
 
 
 # --- pipeline ---------------------------------------------------------------

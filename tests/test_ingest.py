@@ -300,7 +300,8 @@ def test_importing_the_cli_leaves_requests_unloaded():
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(Path(eventcell.__file__).parents[1]), env.get("PYTHONPATH", "")])
-    code = "import sys, eventcell.cli; print(sorted({'requests', 'urllib3'} & set(sys.modules)))"
+    code = ("import sys, eventcell.cli; "
+            "print(sorted({'requests', 'urllib3', 'eventcell.scenario'} & set(sys.modules)))")
     result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                             text=True, check=True, timeout=60)
     assert result.stdout.strip() == "[]"

@@ -753,20 +753,33 @@ def test_series_index_arithmetic():
 
 # --- normalization ----------------------------------------------------------
 
+def _assert_slot_median_baseline(series, residuals, kind, n_slots):
+    """The series reaches all ``n_slots`` slots of ``kind``, and in each one
+    ``series.values - residuals`` is constant over the slot's present samples
+    and equal to their median."""
+    slots = np.array([_slot_oracle(series.sample_time(n), kind) for n in range(len(series))])
+    assert set(slots.tolist()) == set(range(n_slots))
+    baseline = series.values - residuals
+    for slot in range(n_slots):
+        present = (slots == slot) & ~np.isnan(series.values)
+        np.testing.assert_allclose(
+            baseline[present], np.median(series.values[present]), rtol=0, atol=1e-9)
+
+
 def test_periodic_signal_removed_exactly():
     daily = np.array([10.0 + 3.0 * math.sin(2 * math.pi * h / 24) for h in range(24)])
     series = hourly_series(np.tile(daily, 4))
     normalized = normalize_periodic(series, "hour_of_day")
     assert np.nanmax(np.abs(normalized.values)) <= 1e-9
-    assert normalized.baseline.shape == (24,)
+    _assert_slot_median_baseline(series, normalized.values, "hour_of_day", 24)
 
 
 def test_constant_series():
     series = hourly_series(np.full(336, 7.5))
     normalized = normalize_periodic(series, "hour_of_week")
-    assert np.allclose(normalized.baseline, 7.5)
+    assert np.allclose(series.values - normalized.values, 7.5)
     assert np.nanmax(np.abs(normalized.values)) <= 1e-9
-    assert normalized.baseline.shape == (168,)
+    _assert_slot_median_baseline(series, normalized.values, "hour_of_week", 168)
 
 
 def test_spike_recovered():
@@ -796,6 +809,7 @@ def test_absent_samples_preserved():
     assert len(normalized.values) == len(values)
     present = ~np.isnan(values)
     assert np.array_equal(~np.isnan(normalized.values), present)
+    _assert_slot_median_baseline(hourly_series(values), normalized.values, "hour_of_day", 24)
 
 
 def test_reconstruct_matches_original():
@@ -803,7 +817,7 @@ def test_reconstruct_matches_original():
     values = np.tile(np.arange(24, dtype=float), 3) + rng.normal(0, 1, 72)
     series = hourly_series(values)
     normalized = normalize_periodic(series, "hour_of_day")
-    np.testing.assert_allclose(normalized.reconstruct(), values, atol=1e-9)
+    _assert_slot_median_baseline(series, normalized.values, "hour_of_day", 24)
 
 
 def _slot_oracle(ts, kind):

@@ -9,7 +9,7 @@ import pytest
 
 from eventcell.association import (
     associate_geographic,
-    cell_bearing_offset,
+    bearing_offsets,
     correlate_event,
     identify_causes,
     GeoAssocParams,
@@ -32,7 +32,6 @@ from eventcell.scenario import (
     build,
     detection_spec,
     funnel_fixture,
-    generate,
     table1_fixture,
 )
 
@@ -99,8 +98,8 @@ def test_zero_noise_zero_injection_is_pure_profile():
 
 def test_same_seed_byte_identical(tmp_path):
     spec = detection_spec(9)
-    files_a = generate(spec, tmp_path / "a")
-    files_b = generate(spec, tmp_path / "b")
+    files_a = build(spec).write(tmp_path / "a")
+    files_b = build(spec).write(tmp_path / "b")
     for pa, pb in zip(files_a, files_b):
         assert pa.read_bytes() == pb.read_bytes()
 
@@ -243,7 +242,8 @@ def test_t1_geometry(t1):
     cell = next(c for c in t1.cells if c.cell_id == "CELL_1A")
     venue_l = next(e for e in t1.events if e.venue == "VENUE_L")
     assert haversine_km(site.location, (venue_l.lat, venue_l.lon)) == pytest.approx(0.56, abs=1e-3)
-    assert cell_bearing_offset(cell, site, (venue_l.lat, venue_l.lon)) == pytest.approx(15.22, abs=0.01)
+    offset = bearing_offsets([cell], site, (venue_l.lat, venue_l.lon))[0]
+    assert offset == pytest.approx(15.22, abs=0.01)
 
 
 def test_t1_fifteen_venues_near_site(t1):
@@ -263,7 +263,7 @@ def test_t1_bearing_filter_keeps_five(t1):
     passing = {
         e.venue
         for e in t1.events
-        if cell_bearing_offset(cell, site, (e.lat, e.lon)) < cell.hor_width / 2
+        if bearing_offsets([cell], site, (e.lat, e.lon))[0] < cell.hor_width / 2
     }
     assert passing == set(T1_EXPECTED_ABS_R)
 
