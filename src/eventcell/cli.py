@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from datetime import datetime, timedelta
 from json.encoder import encode_basestring
 from pathlib import Path
-from typing import TYPE_CHECKING, Optional, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, Optional, Sequence
 
 import click
 
@@ -73,19 +73,34 @@ def _require(mapping: dict, key: str, context: str):
 _REQUIRED = object()
 
 
+# The JSON type each ``_typed`` kind stands for. An int is an integral number
+# (2.0 as well), a float any number; neither is a boolean.
+_JSON_KINDS = {dict: "object", list: "array", str: "string", bool: "boolean", int: "integer",
+               float: "number"}
+
+
+def _is_kind(value, kind: type) -> bool:
+    if kind is int:
+        return type(value) is int or (type(value) is float and value.is_integer())
+    if kind is float:
+        return type(value) is int or type(value) is float
+    return isinstance(value, kind)
+
+
 def _typed(mapping: dict, key: str, context: str, kind: type, default=_REQUIRED,
            items: Optional[type] = None):
-    """``mapping[key]`` checked to be a JSON object (``kind`` dict) or array
-    (``kind`` list, of ``items`` where given); ``default`` when the key is
-    absent, and also when it is null if ``default`` is None."""
+    """``mapping[key]`` checked to be of the JSON type ``kind`` stands for
+    (``_JSON_KINDS``), and an array of ``items`` where given; an int or float
+    comes back as one. ``default`` when the key is absent, and also when it
+    is null if ``default`` is None."""
     value = _require(mapping, key, context) if default is _REQUIRED else mapping.get(key, default)
     if value is None and default is None:
         return None
-    if not isinstance(value, kind) or (items and not all(isinstance(v, items) for v in value)):
-        name = {dict: "object", list: "array", str: "string"}
-        what = f"an array of {name[items]}s" if items else f"an {name[kind]}"
-        raise ConfigError(f"{context}: {key!r} must be {what}")
-    return value
+    if not _is_kind(value, kind) or (items and not all(_is_kind(v, items) for v in value)):
+        what = f"array of {_JSON_KINDS[items]}s" if items else _JSON_KINDS[kind]
+        article = "an" if what[0] in "aeiou" else "a"
+        raise ConfigError(f"{context}: {key!r} must be {article} {what}")
+    return kind(value) if kind in (int, float) else value
 
 
 def _parse_geo_scope(raw: dict) -> ingest.GeoScope:
@@ -95,10 +110,10 @@ def _parse_geo_scope(raw: dict) -> ingest.GeoScope:
         categorical = ingest.CategoricalScope(
             country=cat.get("country"), region=cat.get("region"), city=cat.get("city")
         )
-    box_raw = _typed(raw, "box", "filter.geo", list, None)
+    box_raw = _typed(raw, "box", "filter.geo", list, None, items=float)
     if box_raw:
         box = ingest.BoundingBox(*[float(v) for v in box_raw])
-    circle_raw = _typed(raw, "circle", "filter.geo", list, None)
+    circle_raw = _typed(raw, "circle", "filter.geo", list, None, items=float)
     if circle_raw:
         circle = ingest.CircleArea(*[float(v) for v in circle_raw])
     return ingest.GeoScope(categorical=categorical, box=box, circle=circle)
@@ -133,7 +148,7 @@ def load_config(path: str | Path) -> RunConfig:
                     locator=locator,
                     format=entry.get("format", "json_records"),
                     field_map=_typed(entry, "field_map", "source", dict),
-                    priority=int(entry.get("priority", 0)),
+                    priority=_typed(entry, "priority", "source", int, 0),
                     timezone=entry.get("timezone", "UTC"),
                 )
             )
@@ -173,30 +188,32 @@ def load_config(path: str | Path) -> RunConfig:
             region_whitelist=frozenset(region_whitelist) if region_whitelist else None,
             geo=geo_scope,
             time=time_scope,
-            soft_mode=bool(filt_raw.get("soft_mode", False)),
+            soft_mode=_typed(filt_raw, "soft_mode", "filter", bool, False),
         )
 
         assoc_raw = _typed(raw, "geo_assoc", str(path), dict, {})
         geo_assoc = association.GeoAssocParams(
-            max_dist_km=float(assoc_raw.get("max_dist_km", 2.0)),
-            min_sites=int(assoc_raw.get("min_sites", 1)),
-            max_sites=int(assoc_raw.get("max_sites", 7)),
+            max_dist_km=_typed(assoc_raw, "max_dist_km", "geo_assoc", float, 2.0),
+            min_sites=_typed(assoc_raw, "min_sites", "geo_assoc", int, 1),
+            max_sites=_typed(assoc_raw, "max_sites", "geo_assoc", int, 7),
         )
 
         eaw_raw = _typed(raw, "eaw", str(path), dict, {})
+        durations = _typed(eaw_raw, "category_durations_hours", "eaw", dict, {})
         eaw = association.EawParams(
-            pre_margin=int(eaw_raw.get("pre_margin", 1)),
-            post_margin=int(eaw_raw.get("post_margin", 1)),
-            default_duration=timedelta(hours=float(eaw_raw.get("default_duration_hours", 3.0))),
+            pre_margin=_typed(eaw_raw, "pre_margin", "eaw", int, 1),
+            post_margin=_typed(eaw_raw, "post_margin", "eaw", int, 1),
+            default_duration=timedelta(
+                hours=_typed(eaw_raw, "default_duration_hours", "eaw", float, 3.0)),
             category_durations={
-                name: timedelta(hours=float(hours))
-                for name, hours in
-                _typed(eaw_raw, "category_durations_hours", "eaw", dict, {}).items()
+                name: timedelta(
+                    hours=_typed(durations, name, "eaw.category_durations_hours", float))
+                for name in durations
             },
-            sigma_scale=float(eaw_raw.get("sigma_scale", 1.0)),
+            sigma_scale=_typed(eaw_raw, "sigma_scale", "eaw", float, 1.0),
         )
 
-        r_threshold = float(raw.get("r_threshold", 0.7))
+        r_threshold = _typed(raw, "r_threshold", str(path), float, 0.7)
         if not 0.0 < r_threshold <= 1.0:
             raise ConfigError(f"r_threshold {r_threshold} outside (0, 1]")
         stat = raw.get("aggregate_stat", "mean")
@@ -207,10 +224,10 @@ def load_config(path: str | Path) -> RunConfig:
             raise ConfigError(f"unknown normalization {normalization!r}")
 
         fusion_raw = _typed(raw, "fusion", str(path), dict, {})
-        name_threshold = float(fusion_raw.get("name_threshold", 0.85))
+        name_threshold = _typed(fusion_raw, "name_threshold", "fusion", float, 0.85)
         if not 0.0 <= name_threshold <= 1.0:
             raise ConfigError(f"fusion.name_threshold {name_threshold} outside [0, 1]")
-        tolerance_minutes = float(fusion_raw.get("time_tolerance_minutes", 30))
+        tolerance_minutes = _typed(fusion_raw, "time_tolerance_minutes", "fusion", float, 30)
         if not 0.0 <= tolerance_minutes < math.inf:
             raise ConfigError(
                 f"fusion.time_tolerance_minutes {tolerance_minutes} must be finite and >= 0")
@@ -254,11 +271,11 @@ def load_config(path: str | Path) -> RunConfig:
 # Report records
 # ---------------------------------------------------------------------------
 
-def _event_fields(event: ingest.SocialEvent, format_time=format_rfc3339) -> dict:
+def _event_fields(event: ingest.SocialEvent) -> dict:
     return {
         "NAME": event.name,
-        "START_TIME": format_time(event.start_time),
-        "END_TIME": format_time(event.end_time) if event.end_time else None,
+        "START_TIME": format_rfc3339(event.start_time),
+        "END_TIME": format_rfc3339(event.end_time) if event.end_time else None,
         "VENUE": event.venue,
         "ADDRESS": ingest.address_record(event.address),
         "LAT": event.lat,
@@ -267,32 +284,80 @@ def _event_fields(event: ingest.SocialEvent, format_time=format_rfc3339) -> dict
     }
 
 
-def _association_record(
-    event: ingest.SocialEvent,
-    close_sites: list,
+# Indents of associations.json: record keys, site entries, their keys, cell
+# entries and their keys, as ``_json_text`` lays the report out.
+_RECORD_KEY, _SITE, _SITE_KEY, _CELL, _CELL_KEY = (
+    "\n" + " " * n for n in (6, 8, 10, 12, 14))
+_RECORD_TEXT = """{
+      "NAME": %s,
+      "START_TIME": %s,
+      "END_TIME": %s,
+      "VENUE": %s,
+      "ADDRESS": %s,
+      "LAT": %s,
+      "LON": %s,
+      "EVENT_ID": %s,
+      "GEOGRAPHICAL_CLOSE_SITES": %s
+    }"""
+
+
+def _rounded(value: float) -> str:
+    """``round(value, 6)`` as ``_json_text`` writes it."""
+    value = round(value, 6)
+    return float.__repr__(value) if math.isfinite(value) else _json_text(value, "")
+
+
+def _association_texts(
+    events: Sequence[ingest.SocialEvent],
+    closes: Iterable[list[tuple[network.Site, float]]],
     cells_by_site: dict[str, list[network.Cell]],
-    format_time=format_rfc3339,
-) -> dict:
-    """The report record of one event; ``cells_by_site`` lists each site's
-    cells sorted by cell id, and ``format_time`` formats its timestamps."""
-    record = _event_fields(event, format_time)
-    point = (event.lat, event.lon)
-    site_entries = []
-    for site, distance in close_sites:
-        entry: dict = {"SITE_ID": site.site_id, "DISTANCE_KM": round(distance, 6)}
-        cells = cells_by_site.get(site.site_id, [])
-        try:
-            offsets = association.bearing_offsets(cells, site, point)
-        except DegenerateGeometry:
-            pass  # no defined bearing from the site: no CELLS entry
-        else:
-            entry["CELLS"] = [
-                {"CELL_ID": cell.cell_id, "BEARING_OFFSET_DEG": round(offset, 6)}
-                for cell, offset in zip(cells, offsets)
-            ]
-        site_entries.append(entry)
-    record["GEOGRAPHICAL_CLOSE_SITES"] = site_entries
-    return record
+) -> Iterator[str]:
+    """Yield the text of each event's associations.json record, given its
+    close sites, as ``_json_text`` would write the record's dict at its place
+    in the report; ``cells_by_site`` lists each site's cells sorted by cell id.
+
+    A record holds the event's fields, then each close site with its
+    distance and, where the bearing from the site is defined, each of its
+    cells with its bearing offset. The text around the numbers is the same
+    for every entry of one site or cell, so it is built once per call.
+    """
+    quoted_time = functools.lru_cache(maxsize=None)(  # events share few distinct times
+        lambda time: encode_basestring(format_rfc3339(time)))
+    site_texts: dict[str, tuple[str, list[network.Cell], list[str]]] = {}
+    for event, close in zip(events, closes):
+        point = (event.lat, event.lon)
+        entries = []
+        for site, distance in close:
+            texts = site_texts.get(site.site_id)
+            if texts is None:
+                cells = cells_by_site.get(site.site_id, [])
+                texts = site_texts[site.site_id] = (
+                    f'{{{_SITE_KEY}"SITE_ID": {encode_basestring(site.site_id)},'
+                    f'{_SITE_KEY}"DISTANCE_KM": ',
+                    cells,
+                    [f'{{{_CELL_KEY}"CELL_ID": {encode_basestring(cell.cell_id)},'
+                     f'{_CELL_KEY}"BEARING_OFFSET_DEG": ' for cell in cells])
+            head, cells, cell_heads = texts
+            entry = head + _rounded(distance)
+            try:
+                offsets = association.bearing_offsets(cells, site, point)
+            except DegenerateGeometry:  # no defined bearing from the site: no CELLS entry
+                entries.append(entry + _SITE + "}")
+                continue
+            cell_entries = ("," + _CELL).join([
+                cell_head + _rounded(offset) + _CELL + "}"
+                for cell_head, offset in zip(cell_heads, offsets)])
+            cells_text = f"[{_CELL}{cell_entries}{_SITE_KEY}]" if cell_entries else "[]"
+            entries.append(f'{entry},{_SITE_KEY}"CELLS": {cells_text}{_SITE}}}')
+        sites_text = ("[" + _SITE + ("," + _SITE).join(entries) + _RECORD_KEY + "]"
+                      if entries else "[]")
+        yield _RECORD_TEXT % (
+            encode_basestring(event.name), quoted_time(event.start_time),
+            quoted_time(event.end_time) if event.end_time else "null",
+            encode_basestring(event.venue) if event.venue is not None else "null",
+            _json_text(ingest.address_record(event.address), _RECORD_KEY),
+            _json_text(event.lat, ""), _json_text(event.lon, ""),
+            encode_basestring(event.event_id), sites_text)
 
 
 def _cause_record(rank: int, candidate: association.CauseCandidate, events_by_id: dict) -> dict:
@@ -368,14 +433,28 @@ def _json_text(value, newline: str) -> str:
     raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
-def _write_json_report(payload, path: Path, stamp: bool) -> None:
-    document = {"records": payload}
-    if stamp:
-        document["GENERATED_AT"] = format_rfc3339(datetime.now(tz=UTC))
+def _write_json_report(record_texts: Iterable[str], path: Path, stamp: bool) -> None:
+    """Write ``{"records": [...]}``, with GENERATED_AT under ``stamp``, from
+    the text of each record at its place in the report. A non-finite float
+    met while the texts are made raises ``InvariantError`` naming ``path``,
+    and nothing is written.
+
+    The report is the largest object of a run, so the record texts are
+    joined once, with the document's head and tail, and only the whole text
+    is kept while it is written."""
     try:
-        text = _json_text(document, "\n") + "\n"
+        texts = list(record_texts)
     except ValueError as exc:
         raise InvariantError(f"{path}: {exc}") from None
+    tail = (f',\n  "GENERATED_AT": {encode_basestring(format_rfc3339(datetime.now(tz=UTC)))}'
+            if stamp else "") + "\n}\n"
+    if texts:
+        texts[0] = '{\n  "records": [\n    ' + texts[0]
+        texts[-1] += "\n  ]" + tail
+        text = ",\n    ".join(texts)
+    else:
+        text = '{\n  "records": []' + tail
+    del texts
     atomic_write_text(path, text)
 
 
@@ -522,16 +601,9 @@ def cmd_associate(config_path: str, events_path: Optional[str], out: Optional[st
             skipped += 1
             logger.info("event %s has no coordinates; not associated", event.event_id)
     closes = association.associate_events(located, sites, config.geo_assoc)
-    # events share few distinct times, so each is formatted once per call
-    format_time = functools.lru_cache(maxsize=None)(format_rfc3339)
-    records = [
-        _association_record(event, close, cells_by_site, format_time)
-        for event, close in zip(located, closes)
-    ]
-
     report_path = out_dir / "associations.json"
-    _write_json_report(records, report_path, stamp)
-    click.echo(f"associated: {len(records)}")
+    _write_json_report(_association_texts(located, closes, cells_by_site), report_path, stamp)
+    click.echo(f"associated: {len(located)}")
     click.echo(f"skipped (no coordinates): {skipped}")
     click.echo(f"wrote {report_path}")
 
@@ -588,12 +660,10 @@ def cmd_analyze(config_path: str, cell_id: str, events_path: Optional[str],
     )
 
     events_by_id = {e.event_id: e for e in events}
-    records = [
-        _cause_record(rank, candidate, events_by_id)
-        for rank, candidate in enumerate(candidates, start=1)
-    ]
     report_path = out_dir / "report.json"
-    _write_json_report(records, report_path, stamp)
+    _write_json_report(
+        (_json_text(_cause_record(rank, candidate, events_by_id), "\n    ")
+         for rank, candidate in enumerate(candidates, start=1)), report_path, stamp)
 
     summary_buffer = io.StringIO()
     writer = csv.writer(summary_buffer)
@@ -661,7 +731,7 @@ def load_scenario_spec(path: str | Path) -> ScenarioSpec:
                 daily_profile=tuple(float(v) for v in m["daily_profile"]),
                 noise_sigma=float(m.get("noise_sigma", 0.0)),
             )
-            for m in _require(raw, "metrics", str(path))
+            for m in _typed(raw, "metrics", str(path), list, items=dict)
         )
         injected = tuple(
             scenario.InjectedEventSpec(
@@ -677,9 +747,9 @@ def load_scenario_spec(path: str | Path) -> ScenarioSpec:
                 cells=tuple(e["cells"]) if isinstance(e.get("cells"), list) else "auto",
                 category=e.get("category"),
             )
-            for e in raw.get("injected_events", [])
+            for e in _typed(raw, "injected_events", str(path), list, [], items=dict)
         )
-        decoys_raw = raw.get("decoy_events", {})
+        decoys_raw = _typed(raw, "decoy_events", str(path), dict, {})
         decoys = scenario.DecoySpec(
             count=int(decoys_raw.get("count", 0)),
             placement=decoys_raw.get("placement", "in_area"),
@@ -689,7 +759,8 @@ def load_scenario_spec(path: str | Path) -> ScenarioSpec:
         spec = scenario.ScenarioSpec(
             seed=int(_require(raw, "seed", str(path))),
             n_sites=int(_require(raw, "n_sites", str(path))),
-            area=ingest.BoundingBox(*[float(v) for v in _require(raw, "area", str(path))]),
+            area=ingest.BoundingBox(*[float(v) for v in _typed(raw, "area", str(path), list,
+                                                               items=float)]),
             days=int(_require(raw, "days", str(path))),
             metrics=metrics,
             injected=injected,

@@ -19,7 +19,7 @@ import unicodedata
 from dataclasses import dataclass, replace
 from datetime import datetime, timedelta, tzinfo
 from pathlib import Path
-from typing import Iterable, Mapping, Optional, Protocol, Sequence
+from typing import Iterable, Mapping, NamedTuple, Optional, Protocol, Sequence
 
 from .errors import (
     ConfigError,
@@ -74,10 +74,7 @@ class Address:
         return all(v is None for v in (self.street, self.city, self.region, self.country, self.text))
 
 
-@dataclass(frozen=True)
-class SocialEvent:
-    """One event in the canonical internal format."""
-
+class _EventFields(NamedTuple):
     event_id: str
     name: str
     start_time: datetime
@@ -92,20 +89,45 @@ class SocialEvent:
     popularity: Optional[float] = None
     merge_notes: tuple[str, ...] = ()
 
-    def __post_init__(self):
-        if self.start_time.tzinfo is None:
-            raise InvariantError(f"{self.event_id}: start_time must be timezone-aware")
-        if self.end_time is not None and self.end_time <= self.start_time:
-            raise InvariantError(f"{self.event_id}: end_time not after start_time")
-        if (self.lat is None) != (self.lon is None):
-            raise InvariantError(f"{self.event_id}: lat and lon must be set together")
-        if self.lat is not None and not -90.0 <= self.lat <= 90.0:
-            raise InvariantError(f"{self.event_id}: latitude {self.lat} out of range")
-        if self.lon is not None and not -180.0 <= self.lon <= 180.0:
-            raise InvariantError(f"{self.event_id}: longitude {self.lon} out of range")
-        if self.popularity is not None and not 0.0 <= self.popularity < math.inf:
-            raise InvariantError(f"{self.event_id}: popularity {self.popularity} is not a "
+
+class SocialEvent(_EventFields):
+    """One event in the canonical internal format; immutable.
+
+    A named tuple builds faster than a frozen dataclass, and events are
+    what the pipeline builds most. Every way to build one, ``_replace``
+    and ``_make`` included, runs the checks in ``__new__``.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, event_id, name, start_time, source_id, raw_id, end_time=None, lat=None,
+                lon=None, venue=None, address=None, category=None, popularity=None,
+                merge_notes=()):
+        if start_time.tzinfo is None:
+            raise InvariantError(f"{event_id}: start_time must be timezone-aware")
+        if end_time is not None and end_time <= start_time:
+            raise InvariantError(f"{event_id}: end_time not after start_time")
+        if (lat is None) != (lon is None):
+            raise InvariantError(f"{event_id}: lat and lon must be set together")
+        if lat is not None and not -90.0 <= lat <= 90.0:
+            raise InvariantError(f"{event_id}: latitude {lat} out of range")
+        if lon is not None and not -180.0 <= lon <= 180.0:
+            raise InvariantError(f"{event_id}: longitude {lon} out of range")
+        if popularity is not None and not 0.0 <= popularity < math.inf:
+            raise InvariantError(f"{event_id}: popularity {popularity} is not a "
                                  "finite number >= 0")
+        return tuple.__new__(cls, (event_id, name, start_time, source_id, raw_id, end_time, lat,
+                                   lon, venue, address, category, popularity, merge_notes))
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
+
+    def _replace(self, **changes):
+        event = type(self)(*map(changes.pop, self._fields, self))
+        if changes:
+            raise TypeError(f"unexpected field names: {list(changes)!r}")
+        return event
 
     def has_coordinates(self) -> bool:
         return self.lat is not None and self.lon is not None
@@ -452,7 +474,7 @@ def consolidate(event: SocialEvent, geocoder: GeocoderClient) -> SocialEvent:
         address = event.address or Address()
         if address.text is None:
             address = replace(address, text=normalized)
-        return replace(event, lat=lat, lon=lon, address=address)
+        return event._replace(lat=lat, lon=lon, address=address)
     if queries:
         logger.info("geocoding failed for event %s (%s)", event.event_id, queries[0])
     return event
@@ -611,7 +633,7 @@ def _merge_group(members: list[SocialEvent], priorities: Mapping[str, int]) -> S
                 notes.add(f"{name}: discarded {shown} from {member.source_id}")
         chosen[name] = value
 
-    return replace(winner, merge_notes=tuple(sorted(notes)), **chosen)
+    return winner._replace(merge_notes=tuple(sorted(notes)), **chosen)
 
 
 # ---------------------------------------------------------------------------
@@ -691,35 +713,28 @@ def event_from_record(record: dict, parse_time=parse_rfc3339) -> SocialEvent:
         if types and type(value) not in types:
             expected = " or ".join(sorted({_JSON_NAMES[kind] for kind in types}))
             raise SchemaError(f"field {key} must be {expected}, not {_json_type(value)}")
+    get = record.get
     address = None
-    raw_address = record.get("ADDRESS")
+    raw_address = get("ADDRESS")
     if raw_address is not None:
         parts = list(map(raw_address.get, _ADDRESS_PARTS))
         if not _OPTIONAL.issuperset(map(type, parts)):
             raise SchemaError("field ADDRESS must hold strings")
         address = Address(*parts)
-    merge_notes = tuple(record.get("MERGE_NOTES") or ())
+    merge_notes = tuple(get("MERGE_NOTES") or ())
     if not _STRING.issuperset(map(type, merge_notes)):
         raise SchemaError("field MERGE_NOTES must hold strings")
-    end = record.get("END_TIME")
-    try:
-        return SocialEvent(
-            event_id=record["EVENT_ID"],
-            name=record["NAME"],
-            start_time=parse_time(record["START_TIME"]),
-            end_time=parse_time(end) if end is not None else None,
-            lat=record.get("LAT"),
-            lon=record.get("LON"),
-            venue=record.get("VENUE"),
-            address=address,
-            category=record.get("CATEGORY"),
-            popularity=record.get("POPULARITY"),
-            source_id=record["SOURCE_ID"],
-            raw_id=record["RAW_ID"],
-            merge_notes=merge_notes,
-        )
+    end = get("END_TIME")
+    try:  # in this order, so the first missing or unparseable field is the one named
+        event_id, name = record["EVENT_ID"], record["NAME"]
+        start_time = parse_time(record["START_TIME"])
+        end_time = parse_time(end) if end is not None else None
+        source_id, raw_id = record["SOURCE_ID"], record["RAW_ID"]
     except KeyError as exc:
         raise SchemaError(f"missing field {exc.args[0]}") from None
+    return SocialEvent(event_id, name, start_time, source_id, raw_id, end_time, get("LAT"),
+                       get("LON"), get("VENUE"), address, get("CATEGORY"), get("POPULARITY"),
+                       merge_notes)
 
 
 def write_events(events: Iterable[SocialEvent], path: str | Path) -> None:

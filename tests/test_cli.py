@@ -3,18 +3,21 @@ import json
 import math
 import re
 import shutil
+from datetime import timedelta
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from eventcell import cli, network
-from eventcell.cli import _association_record, _json_text, _write_json_report, main
-from eventcell.errors import InvariantError
-from eventcell.ingest import read_events, write_events
+from eventcell import association, cli, network
+from eventcell.cli import _association_texts, _json_text, _write_json_report, main
+from eventcell.errors import DegenerateGeometry, InvariantError
+from eventcell.ingest import Address, address_record, read_events, write_events
 from eventcell.network import MAX_SERIES_SAMPLES, Cell, Site, load_kpis, periodic_kind
+from eventcell.timeutil import format_rfc3339
 
-from conftest import make_event
+from conftest import T0, make_event
 
 
 @pytest.fixture(scope="module")
@@ -55,6 +58,27 @@ def test_simulate_spec_file(tmp_path):
     spec_path.write_text(json.dumps(spec))
     assert main(["simulate", "--spec", str(spec_path), "--out", str(tmp_path / "out")]) == 0
     assert (tmp_path / "out" / "kpis.csv").exists()
+
+
+@pytest.mark.parametrize("key, value", [
+    ("area", "1234"),
+    ("area", ["36.6", 36.8, -4.6, -4.4]),
+    ("decoy_events", []),
+    ("metrics", {"name": "NUM_DROPS"}),
+    ("injected_events", ["V"]),
+], ids=["area-string", "area-string-item", "decoys-array", "metrics-object", "injected-string"])
+def test_simulate_spec_section_of_wrong_json_type_exits_1(tmp_path, capsys, key, value):
+    spec = {
+        "seed": 11, "n_sites": 2, "area": [36.6, 36.8, -4.6, -4.4], "days": 3,
+        "metrics": [{"name": "NUM_DROPS", "daily_profile": list(range(24))}],
+        key: value,
+    }
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps(spec))
+    assert main(["simulate", "--spec", str(spec_path), "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert f"'{key}'" in err and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
 
 
 def test_simulate_invalid_spec(tmp_path):
@@ -194,12 +218,49 @@ def test_fusion_range_bounds_accepted(t1_dir, tmp_path, values):
         "field-map-array", "filter-array", "categorical-string", "category-durations-array",
         "metrics-string", "blacklist-string", "box-string", "geocoder-number"])
 def test_config_section_of_wrong_json_type_exits_1(t1_dir, tmp_path, capsys, keys, value):
+    _assert_config_value_refused(t1_dir, tmp_path, capsys, keys, value)
+
+
+@pytest.mark.parametrize("keys, value", [
+    (("filter", "soft_mode"), "false"),
+    (("filter", "soft_mode"), 0),
+    (("geo_assoc", "min_sites"), 1.9),
+    (("geo_assoc", "max_sites"), "7"),
+    (("geo_assoc", "max_sites"), True),
+    (("eaw", "pre_margin"), "1"),
+    (("eaw", "post_margin"), 0.5),
+    (("sources", 0, "priority"), "3"),
+    (("sources", 0, "priority"), False),
+    (("r_threshold",), True),
+    (("r_threshold",), "0.7"),
+    (("geo_assoc", "max_dist_km"), "2"),
+    (("eaw", "sigma_scale"), True),
+    (("eaw", "category_durations_hours", "musical"), "4"),
+    (("fusion", "time_tolerance_minutes"), False),
+    (("filter", "geo", "box"), ["36.6", 36.8, -4.6, -4.4]),
+], ids=["soft-mode-string", "soft-mode-number", "min-sites-fraction", "max-sites-string",
+        "max-sites-bool", "pre-margin-string", "post-margin-fraction", "priority-string",
+        "priority-bool", "threshold-bool", "threshold-string", "max-dist-string",
+        "sigma-scale-bool", "category-duration-string", "tolerance-bool", "box-string-item"])
+def test_config_scalar_of_wrong_json_type_exits_1(t1_dir, tmp_path, capsys, keys, value):
+    _assert_config_value_refused(t1_dir, tmp_path, capsys, keys, value)
+
+
+def test_config_integers_may_be_integral_numbers(t1_dir, tmp_path):
+    path = _t1_config_with(t1_dir, tmp_path, "geo_assoc", {"min_sites": 2.0, "max_sites": 7.0})
+    params = cli.load_config(path).geo_assoc
+    assert (params.min_sites, params.max_sites) == (2, 7) and type(params.min_sites) is int
+
+
+def _assert_config_value_refused(t1_dir, tmp_path, capsys, keys, value):
+    """ingest exits 1 naming the last of ``keys`` when the table1 config
+    holds ``value`` there, and writes nothing."""
     config = json.loads((t1_dir / "config.json").read_text())
     config["sources"][0]["locator"] = str(t1_dir / "events.ndjson")
     config["paths"] = {}
     section = config
     for key in keys[:-1]:
-        section = section[key]
+        section = section[key] if isinstance(key, int) else section.setdefault(key, {})
     section[keys[-1]] = value
     path = tmp_path / "config.json"
     path.write_text(json.dumps(config))
@@ -270,8 +331,8 @@ def test_association_record_has_no_cells_a_subnormal_step_from_the_site():
     cells_by_site = {"S0": [Cell("C_N", "S0", 0.0, 120.0, "LTE")]}
 
     def site_entry(lat, lon):
-        record = _association_record(make_event(lat=lat, lon=lon), [(site, 0.0)], cells_by_site)
-        [entry] = record["GEOGRAPHICAL_CLOSE_SITES"]
+        [text] = _association_texts([make_event(lat=lat, lon=lon)], [[(site, 0.0)]], cells_by_site)
+        [entry] = json.loads(text)["GEOGRAPHICAL_CLOSE_SITES"]
         return entry
 
     assert site_entry(0.01, 0.0)["CELLS"] == [{"CELL_ID": "C_N", "BEARING_OFFSET_DEG": 0.0}]
@@ -291,8 +352,8 @@ def test_associate_report_round_trips(t1_dir, tmp_path):
 
 # --- report writer -------------------------------------------------------------
 #
-# Both reports are written by ``_json_text``; the stdlib encoder, which gives
-# the same bytes more slowly, is the oracle.
+# report.json's records are written by ``_json_text``; the stdlib encoder,
+# which gives the same bytes more slowly, is the oracle.
 
 _JSON_CHARS = st.characters(exclude_categories=()) | st.sampled_from(
     ["\ud800", "\udfff", "\x00", "\x1f", "\x7f", '"', "\\", "\u2028", "é", "😍"])
@@ -322,17 +383,104 @@ def test_report_writer_matches_stdlib_encoder(records, stamp):
 def test_report_with_a_non_finite_float_exits_1_naming_the_file(t1_dir, tmp_path, capsys,
                                                                 monkeypatch, value):
     path = tmp_path / "report.json"
+    records = [{"R_VALUES": [0.5, [value]]}]
     with pytest.raises(InvariantError, match=re.escape(f"{path}: out of range float value")):
-        _write_json_report([{"R_VALUES": [0.5, [value]]}], path, False)
+        _write_json_report((_json_text(record, "\n    ") for record in records), path, False)
     assert not path.exists()
 
     assert main(["ingest", "--config", _config(t1_dir), "--out", str(tmp_path)]) == 0
-    monkeypatch.setattr(cli, "_association_record", lambda *args: {"DISTANCE_KM": value})
+    monkeypatch.setattr(association, "associate_events",
+                        lambda events, sites, params: ([(sites[0], value)] for _ in events))
     capsys.readouterr()
     assert main(["associate", "--config", _config(t1_dir), "--out", str(tmp_path)]) == 1
     assert f"error: {tmp_path / 'associations.json'}: out of range float value" in (
         capsys.readouterr().err)
     assert list(tmp_path.glob("associations.json*")) == []
+
+
+# --- associations.json renderer --------------------------------------------------
+#
+# associate renders each record's text directly; the dict each record stands
+# for, encoded by the stdlib, is the oracle.
+
+def _association_record(event, close_sites, cells_by_site) -> dict:
+    """An associations.json record as a dict: the event's fields, then each
+    close site with its distance and, where the bearing from the site is
+    defined, its cells' bearing offsets."""
+    record = {
+        "NAME": event.name,
+        "START_TIME": format_rfc3339(event.start_time),
+        "END_TIME": format_rfc3339(event.end_time) if event.end_time else None,
+        "VENUE": event.venue,
+        "ADDRESS": address_record(event.address),
+        "LAT": event.lat,
+        "LON": event.lon,
+        "EVENT_ID": event.event_id,
+    }
+    point = (event.lat, event.lon)
+    site_entries = []
+    for site, distance in close_sites:
+        entry: dict = {"SITE_ID": site.site_id, "DISTANCE_KM": round(distance, 6)}
+        cells = cells_by_site.get(site.site_id, [])
+        try:
+            offsets = association.bearing_offsets(cells, site, point)
+        except DegenerateGeometry:
+            pass
+        else:
+            entry["CELLS"] = [
+                {"CELL_ID": cell.cell_id, "BEARING_OFFSET_DEG": round(offset, 6)}
+                for cell, offset in zip(cells, offsets)
+            ]
+        site_entries.append(entry)
+    record["GEOGRAPHICAL_CLOSE_SITES"] = site_entries
+    return record
+
+
+_TEXT = st.text(_JSON_CHARS, max_size=8)
+_COORDINATES = st.tuples(
+    st.floats(-90, 90) | st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308]),
+    st.floats(-180, 180) | st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 180.0, -180.0]))
+
+
+@st.composite
+def _associations(draw):
+    """Events, each with its close sites, and the sites' cells: sites without
+    cells, sites with several, events at a site and events with no close site."""
+    site_ids = draw(st.lists(_TEXT, min_size=1, max_size=4, unique=True))
+    sites = [Site(site_id, *draw(_COORDINATES), ("C",)) for site_id in site_ids]
+    cells_by_site = {
+        site_id: sorted((Cell(cell_id, site_id, draw(st.floats(0, 360, exclude_max=True)), 120.0)
+                         for cell_id in draw(st.lists(_TEXT, max_size=3, unique=True))),
+                        key=lambda cell: cell.cell_id)
+        for site_id in site_ids if draw(st.booleans())}
+    address = st.none() | st.builds(Address, *[st.none() | _TEXT] * 5)
+    events, closes = [], []
+    for k in range(draw(st.integers(0, 4))):
+        lat, lon = draw(st.sampled_from(sites).map(lambda site: site.location) | _COORDINATES)
+        start = T0 + timedelta(minutes=draw(st.integers(0, 10_000)))
+        end = draw(st.none() | st.integers(1, 600).map(lambda m: start + timedelta(minutes=m)))
+        events.append(make_event(raw_id=draw(_TEXT) + str(k), name=draw(_TEXT), start=start,
+                                 end=end, lat=lat, lon=lon, venue=draw(st.none() | _TEXT),
+                                 address=draw(address)))
+        closes.append(draw(st.lists(st.tuples(
+            st.sampled_from(sites),
+            st.floats(0, 2e4) | st.sampled_from([0.0, 5e-324, 1e-7, 1234567.891])), max_size=3)))
+    return events, closes, cells_by_site
+
+
+@settings(max_examples=200, deadline=None)
+@given(drawn=_associations(), stamp=st.booleans())
+def test_association_report_matches_stdlib_encoder(drawn, stamp):
+    events, closes, cells_by_site = drawn
+    written = {}
+    with mock.patch.object(cli, "atomic_write_text", lambda path, text: written.update(text=text)):
+        _write_json_report(_association_texts(events, iter(closes), cells_by_site), "x", stamp)
+    document = {"records": [_association_record(event, close, cells_by_site)
+                            for event, close in zip(events, closes)]}
+    if stamp:
+        document["GENERATED_AT"] = json.loads(written["text"])["GENERATED_AT"]
+    assert written["text"] == json.dumps(
+        document, indent=2, ensure_ascii=False, allow_nan=False) + "\n"
 
 
 # --- analyze -------------------------------------------------------------------

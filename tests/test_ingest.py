@@ -6,10 +6,11 @@ import os
 import subprocess
 import sys
 import threading
-from dataclasses import replace
+from dataclasses import dataclass, replace
 from datetime import datetime, timedelta
 from http.server import BaseHTTPRequestHandler, HTTPServer
 from pathlib import Path
+from typing import Optional
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -19,12 +20,17 @@ from eventcell.errors import (
     InvariantError,
     MalformedPayload,
     MissingRequiredField,
+    SchemaError,
     SourceUnreachable,
     UnparseableTimestamp,
 )
 from eventcell.ingest import (
+    _FIELD_TYPES,
+    _JSON_NAMES,
+    _STRICT_DECODER,
     _bounded_levenshtein,
     _decode_records,
+    _json_type,
     _merge_group,
     Address,
     BoundingBox,
@@ -32,6 +38,7 @@ from eventcell.ingest import (
     GeoScope,
     CategoricalScope,
     HttpGeocoder,
+    SocialEvent,
     SourceConfig,
     TimeScope,
     consolidate,
@@ -45,6 +52,7 @@ from eventcell.ingest import (
     similarity,
     write_events,
 )
+from eventcell.timeutil import parse_rfc3339
 
 from conftest import T0, UTC, make_event
 
@@ -644,3 +652,228 @@ def test_time_scope_validation():
         TimeScope(T0, T0)
     with pytest.raises(ConfigError):
         TimeScope(T0 + timedelta(days=1), T0)
+
+
+# ---------------------------------------------------------------------------
+# canonical reader against the frozen-dataclass reader
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class _OracleEvent:
+    """The event type as a frozen dataclass, with the checks ``SocialEvent`` runs."""
+
+    event_id: str
+    name: str
+    start_time: datetime
+    source_id: str
+    raw_id: str
+    end_time: Optional[datetime] = None
+    lat: Optional[float] = None
+    lon: Optional[float] = None
+    venue: Optional[str] = None
+    address: Optional[Address] = None
+    category: Optional[str] = None
+    popularity: Optional[float] = None
+    merge_notes: tuple[str, ...] = ()
+
+    def __post_init__(self):
+        if self.start_time.tzinfo is None:
+            raise InvariantError(f"{self.event_id}: start_time must be timezone-aware")
+        if self.end_time is not None and self.end_time <= self.start_time:
+            raise InvariantError(f"{self.event_id}: end_time not after start_time")
+        if (self.lat is None) != (self.lon is None):
+            raise InvariantError(f"{self.event_id}: lat and lon must be set together")
+        if self.lat is not None and not -90.0 <= self.lat <= 90.0:
+            raise InvariantError(f"{self.event_id}: latitude {self.lat} out of range")
+        if self.lon is not None and not -180.0 <= self.lon <= 180.0:
+            raise InvariantError(f"{self.event_id}: longitude {self.lon} out of range")
+        if self.popularity is not None and not 0.0 <= self.popularity < math.inf:
+            raise InvariantError(f"{self.event_id}: popularity {self.popularity} is not a "
+                                 "finite number >= 0")
+
+
+def _oracle_event_from_record(record, parse_time):
+    if not isinstance(record, dict):
+        raise SchemaError(f"expected an object, not {_json_type(record)}")
+    for key, value in record.items():
+        types = _FIELD_TYPES.get(key)
+        if types and type(value) not in types:
+            expected = " or ".join(sorted({_JSON_NAMES[kind] for kind in types}))
+            raise SchemaError(f"field {key} must be {expected}, not {_json_type(value)}")
+    address = None
+    raw_address = record.get("ADDRESS")
+    if raw_address is not None:
+        parts = [raw_address.get(key) for key in ("STREET", "CITY", "REGION", "COUNTRY", "TEXT")]
+        if not all(part is None or type(part) is str for part in parts):
+            raise SchemaError("field ADDRESS must hold strings")
+        address = Address(*parts)
+    merge_notes = tuple(record.get("MERGE_NOTES") or ())
+    if not all(type(note) is str for note in merge_notes):
+        raise SchemaError("field MERGE_NOTES must hold strings")
+    end = record.get("END_TIME")
+    try:
+        return _OracleEvent(
+            event_id=record["EVENT_ID"],
+            name=record["NAME"],
+            start_time=parse_time(record["START_TIME"]),
+            end_time=parse_time(end) if end is not None else None,
+            lat=record.get("LAT"),
+            lon=record.get("LON"),
+            venue=record.get("VENUE"),
+            address=address,
+            category=record.get("CATEGORY"),
+            popularity=record.get("POPULARITY"),
+            source_id=record["SOURCE_ID"],
+            raw_id=record["RAW_ID"],
+            merge_notes=merge_notes,
+        )
+    except KeyError as exc:
+        raise SchemaError(f"missing field {exc.args[0]}") from None
+
+
+def _oracle_read_events(path):
+    """The canonical reader, line by line, building ``_OracleEvent``s."""
+    text = Path(path).read_text(encoding="utf-8")
+    events = []
+    for lineno, line in enumerate(text.replace("\r\n", "\n").replace("\r", "\n").split("\n"),
+                                  start=1):
+        if not line.strip():
+            continue
+        try:
+            events.append(_oracle_event_from_record(_STRICT_DECODER.decode(line), parse_rfc3339))
+        except (json.JSONDecodeError, SchemaError, InvariantError, UnparseableTimestamp) as exc:
+            raise SchemaError(f"{path} line {lineno}: bad canonical event record ({exc})") from None
+    return events
+
+
+def _read_outcome(read, path):
+    """The fields of each event read, or the error's type and text."""
+    try:
+        return [tuple(getattr(event, name) for name in SocialEvent._fields)
+                for event in read(path)]
+    except SchemaError as exc:
+        return f"SchemaError: {exc}"
+
+
+_NAMES = st.text(st.characters(exclude_categories=()) | st.sampled_from(
+    ['"', "\\", "\x00", "\r", " ", " ", "\x85", "😍"]), max_size=6)
+_TIMES = st.sampled_from(["2017-03-01T20:00:00Z", "2017-03-01T22:00:00+02:00",
+                          "2017-03-02T09:30:00.250Z", "2017-03-01T20:00:00", "soon", ""])
+_WRONG = st.sampled_from([0, 1.5, True, None, "x", [], ["x"], {}, {"CITY": "x"}])
+
+
+@st.composite
+def _canonical_line(draw):
+    """The text of one canonical record line: mostly valid, else with one
+    flaw a reader must name (a wrong JSON type, a bad ADDRESS part or
+    MERGE_NOTES item, a missing field, a NaN or Infinity token, a latitude
+    of 95, an END_TIME not after START_TIME), or not an object at all."""
+    record = {"EVENT_ID": "s/" + draw(_NAMES), "NAME": draw(_NAMES),
+              "START_TIME": draw(_TIMES)}
+    if draw(st.booleans()):
+        record["END_TIME"] = draw(_TIMES | st.just("2017-03-02T23:00:00Z"))
+    if draw(st.booleans()):
+        record["LAT"] = draw(st.floats(-90, 90) | st.integers(-90, 90))
+        record["LON"] = draw(st.floats(-180, 180))
+    for key in ("VENUE", "CATEGORY"):
+        if draw(st.booleans()):
+            record[key] = draw(_NAMES)
+    if draw(st.booleans()):
+        record["ADDRESS"] = draw(st.dictionaries(
+            st.sampled_from(["STREET", "CITY", "REGION", "COUNTRY", "TEXT", "ZIP"]), _NAMES))
+    if draw(st.booleans()):
+        record["POPULARITY"] = draw(st.floats(0, 1e9) | st.integers(0, 10**6))
+    record["SOURCE_ID"], record["RAW_ID"] = "s", draw(_NAMES)
+    if draw(st.booleans()):
+        record["MERGE_NOTES"] = draw(st.lists(_NAMES, max_size=2))
+    flaw = draw(st.sampled_from(["none"] * 6 + ["type", "part", "missing", "constant", "lat",
+                                                 "end", "array", "garbage"]))
+    keys = sorted(record)
+    if flaw == "type":
+        record[draw(st.sampled_from(keys))] = draw(_WRONG)
+    elif flaw == "part":
+        record[draw(st.sampled_from(["ADDRESS", "MERGE_NOTES"]))] = draw(st.sampled_from(
+            [{"CITY": 5}, {"TEXT": None, "STREET": ["x"]}, ["a", None], [3]]))
+    elif flaw == "missing":
+        del record[draw(st.sampled_from(keys))]
+    elif flaw == "constant":
+        record[draw(st.sampled_from(["LAT", "POPULARITY", "EXTRA"]))] = draw(
+            st.sampled_from([math.nan, math.inf, -math.inf]))
+    elif flaw == "lat":
+        record["LAT"], record["LON"] = 95, 0.0
+    elif flaw == "end":
+        record["START_TIME"] = "2017-03-01T20:00:00Z"
+        record["END_TIME"] = draw(st.sampled_from(["2017-03-01T20:00:00Z", "2017-03-01T19:00:00Z"]))
+    elif flaw == "array":
+        return json.dumps(list(record))
+    text = json.dumps(record, ensure_ascii=draw(st.booleans()))
+    return text[: draw(st.integers(1, len(text) - 1))] if flaw == "garbage" else text
+
+
+@settings(max_examples=300, deadline=None)
+@example(lines=['{"EVENT_ID": "s/a", "NAME": "", "START_TIME": "2017-03-01T20:00:00Z", '
+                '"END_TIME": "soon", "RAW_ID": "a"}'], ends=["\n"] * 6, final=True)
+@given(lines=st.lists(_canonical_line() | st.sampled_from(["", "  "]), max_size=6),
+       ends=st.lists(st.sampled_from(["\n", "\r\n", "\r"]), min_size=6, max_size=6),
+       final=st.booleans())
+def test_read_events_matches_the_dataclass_reader(tmp_path_factory, lines, ends, final):
+    text = "".join(line + end for line, end in zip(lines, ends))
+    if not final:
+        text = text.rstrip("\r\n")
+    path = tmp_path_factory.getbasetemp() / "drawn.ndjson"
+    path.write_bytes(text.encode("utf-8", "surrogatepass"))
+    try:
+        expected = _read_outcome(_oracle_read_events, path)
+    except UnicodeDecodeError:  # a raw lone surrogate is not UTF-8; both readers refuse it
+        with pytest.raises(SchemaError, match="not valid UTF-8"):
+            read_events(path)
+        return
+    assert _read_outcome(read_events, path) == expected
+    if not isinstance(expected, str):
+        assert all(type(event) is SocialEvent for event in read_events(path))
+
+
+def test_read_events_rejects_two_records_split_across_two_lines(tmp_path):
+    # one decode of the joined lines would read these as two valid records
+    first = json.dumps(event_to_record(make_event(raw_id="a")))
+    second = json.dumps(event_to_record(make_event(raw_id="b")) | {"MERGE_NOTES": ["x", "y"]})
+    split = second.index('"y"')
+    path = tmp_path / "events.ndjson"
+    path.write_text(f"{first}, {second[:split]}\n{second[split:]}\n", encoding="utf-8")
+    with pytest.raises(SchemaError, match=f"line 1: bad canonical event record \\(Extra data"):
+        read_events(path)
+
+
+def test_events_are_immutable():
+    event = make_event()
+    with pytest.raises(AttributeError):
+        event.lat = 0.0
+    with pytest.raises(AttributeError):
+        event.extra = 1
+
+
+def test_every_way_to_build_an_event_validates():
+    event = make_event()
+    with pytest.raises(InvariantError, match="latitude 95"):
+        event._replace(lat=95.0)
+    with pytest.raises(InvariantError, match="latitude 95"):
+        SocialEvent._make((*event[:6], 95.0, *event[7:]))
+    with pytest.raises(TypeError, match="unexpected field"):
+        event._replace(latitude=0.0)
+    assert event._replace(venue="Plaza") == make_event(venue="Plaza")
+
+
+def test_consolidate_validates_the_geocoder_answer():
+    wild = FixtureGeocoder({normalize_text("Av. X 1, Malaga"): (95.0, -4.42, "Nowhere")})
+    event = make_event(lat=None, lon=None, address=Address(text="Av. X 1, Malaga"))
+    with pytest.raises(InvariantError, match="latitude 95.0 out of range"):
+        consolidate(event, wild)
+
+
+def test_merge_group_output_is_validated():
+    good = make_event(raw_id="1", source_id="s1")
+    # built around the checks, as no constructor would
+    bad = tuple.__new__(SocialEvent, (95.0 if name == "lat" else value for name, value
+                                      in zip(good._fields, make_event(raw_id="2", source_id="s2"))))
+    with pytest.raises(InvariantError, match="latitude 95.0 out of range"):
+        _merge_group([good, bad], {"s2": 1})
