@@ -17,12 +17,13 @@ from __future__ import annotations
 import logging
 import math
 from collections import defaultdict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from datetime import timedelta
 from typing import Iterator, Mapping, Optional, Sequence
 
 import numpy as np
 
+from .config import AGGREGATE_STATS, DEFAULT_R_THRESHOLD, EawParams, GeoAssocParams
 from .errors import (
     ConfigError,
     DegenerateGeometry,
@@ -36,48 +37,6 @@ from .ingest import SocialEvent, normalize_text
 from .network import Cell, KpiSeries, Site, normalize_periodic, periodic_kind
 
 logger = logging.getLogger(__name__)
-
-DEFAULT_R_THRESHOLD = 0.7
-AGGREGATE_STATS = ("median", "mean", "max")
-
-
-@dataclass(frozen=True)
-class GeoAssocParams:
-    """Distance association knobs; defaults fit macrocell, non-dense layouts."""
-
-    max_dist_km: float = 2.0
-    min_sites: int = 1
-    max_sites: int = 7
-
-    def __post_init__(self):
-        if not self.max_dist_km > 0:  # also rejects NaN
-            raise ConfigError("max_dist_km must be positive")
-        if self.min_sites < 0 or self.max_sites < self.min_sites:
-            raise ConfigError("need 0 <= min_sites <= max_sites")
-
-
-@dataclass(frozen=True)
-class EawParams:
-    """Window construction knobs, with per-category duration overrides."""
-
-    pre_margin: int = 1
-    post_margin: int = 1
-    default_duration: timedelta = timedelta(hours=3)
-    category_durations: Mapping[str, timedelta] = field(default_factory=dict)
-    sigma_scale: float = 1.0
-
-    def __post_init__(self):
-        if self.pre_margin < 0 or self.post_margin < 0:
-            raise ConfigError("EAW margins must be >= 0")
-        if self.default_duration <= timedelta(0):
-            raise ConfigError("default event duration must be positive")
-        if not self.sigma_scale > 0:  # also rejects NaN
-            raise ConfigError("sigma_scale must be positive")
-
-    def duration_for(self, category: Optional[str]) -> timedelta:
-        if category is not None and category in self.category_durations:
-            return self.category_durations[category]
-        return self.default_duration
 
 
 @dataclass(frozen=True)

@@ -16,255 +16,29 @@ import json
 import logging
 import math
 import sys
-from dataclasses import dataclass
-from datetime import datetime, timedelta
+from dataclasses import replace
+from datetime import datetime
 from json.encoder import encode_basestring
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Iterator, Optional, Sequence
 
 import click
 
-from . import association, filtering, ingest, network
-from .errors import (
-    ConfigError,
-    DegenerateGeometry,
-    EventcellError,
-    InvariantError,
-    SourceUnreachable,
-    UnknownCell,
-)
-from .fsutil import atomic_write_text, undecodable
-from .timeutil import UTC, format_rfc3339, parse_rfc3339
+from . import filtering, ingest
+from .config import AGGREGATE_STATS, RunConfig, load_config, load_scenario_spec
+from .errors import (ConfigError, DegenerateGeometry, EventcellError, InvariantError,
+                     SourceUnreachable, UnknownCell)
+from .fsutil import atomic_write_text
+from .timeutil import UTC, format_rfc3339
 
-if TYPE_CHECKING:
-    from .scenario import ScenarioSpec
+if TYPE_CHECKING:  # associate and analyze import these when they run: they load numpy
+    from . import association, network
 
 logger = logging.getLogger(__name__)
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
 EXIT_IO = 2
-
-
-@dataclass
-class RunConfig:
-    sources: list[ingest.SourceConfig]
-    geocoder: Optional[ingest.GeocoderClient]
-    filter: filtering.FilterConfig
-    geo_assoc: association.GeoAssocParams
-    eaw: association.EawParams
-    metrics: list[str]
-    r_threshold: float
-    aggregate_stat: str
-    normalization: str
-    fusion_name_threshold: float
-    fusion_time_tolerance: timedelta
-    topology_path: Optional[Path]
-    kpi_path: Optional[Path]
-    output_dir: Optional[Path]
-
-
-def _require(mapping: dict, key: str, context: str):
-    if key not in mapping:
-        raise ConfigError(f"{context}: missing key {key!r}")
-    return mapping[key]
-
-
-_REQUIRED = object()
-
-
-# The JSON type each ``_typed`` kind stands for. An int is an integral number
-# (2.0 as well), a float any number; neither is a boolean.
-_JSON_KINDS = {dict: "object", list: "array", str: "string", bool: "boolean", int: "integer",
-               float: "number"}
-
-
-def _is_kind(value, kind: type) -> bool:
-    if kind is int:
-        return type(value) is int or (type(value) is float and value.is_integer())
-    if kind is float:
-        return type(value) is int or type(value) is float
-    return isinstance(value, kind)
-
-
-def _typed(mapping: dict, key: str, context: str, kind: type, default=_REQUIRED,
-           items: Optional[type] = None):
-    """``mapping[key]`` checked to be of the JSON type ``kind`` stands for
-    (``_JSON_KINDS``), and an array of ``items`` where given; an int or float
-    comes back as one. ``default`` when the key is absent, and also when it
-    is null if ``default`` is None."""
-    value = _require(mapping, key, context) if default is _REQUIRED else mapping.get(key, default)
-    if value is None and default is None:
-        return None
-    if not _is_kind(value, kind) or (items and not all(_is_kind(v, items) for v in value)):
-        what = f"array of {_JSON_KINDS[items]}s" if items else _JSON_KINDS[kind]
-        article = "an" if what[0] in "aeiou" else "a"
-        raise ConfigError(f"{context}: {key!r} must be {article} {what}")
-    return kind(value) if kind in (int, float) else value
-
-
-def _parse_geo_scope(raw: dict) -> ingest.GeoScope:
-    categorical = box = circle = None
-    cat = _typed(raw, "categorical", "filter.geo", dict, None)
-    if cat:
-        categorical = ingest.CategoricalScope(
-            country=cat.get("country"), region=cat.get("region"), city=cat.get("city")
-        )
-    box_raw = _typed(raw, "box", "filter.geo", list, None, items=float)
-    if box_raw:
-        box = ingest.BoundingBox(*[float(v) for v in box_raw])
-    circle_raw = _typed(raw, "circle", "filter.geo", list, None, items=float)
-    if circle_raw:
-        circle = ingest.CircleArea(*[float(v) for v in circle_raw])
-    return ingest.GeoScope(categorical=categorical, box=box, circle=circle)
-
-
-def load_config(path: str | Path) -> RunConfig:
-    """Parse and validate the run configuration file (JSON).
-
-    Relative paths inside the file resolve against the file's directory.
-    """
-    path = Path(path)
-    try:
-        raw = json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{path}: invalid JSON ({exc})") from None
-    except UnicodeDecodeError:
-        raise ConfigError(undecodable(path)) from None
-    if not isinstance(raw, dict):
-        raise ConfigError(f"{path}: the config must be a JSON object")
-    base = path.parent
-
-    try:
-        sources = []
-        for entry in _typed(raw, "sources", str(path), list, items=dict):
-            locator = entry.get("locator", "")
-            if entry.get("kind", "file") == "file" and not Path(locator).is_absolute():
-                locator = str(base / locator)
-            sources.append(
-                ingest.SourceConfig(
-                    source_id=_require(entry, "source_id", "source"),
-                    kind=entry.get("kind", "file"),
-                    locator=locator,
-                    format=entry.get("format", "json_records"),
-                    field_map=_typed(entry, "field_map", "source", dict),
-                    priority=_typed(entry, "priority", "source", int, 0),
-                    timezone=entry.get("timezone", "UTC"),
-                )
-            )
-
-        geocoder: Optional[ingest.GeocoderClient] = None
-        geo_raw = raw.get("geocoder")
-        if isinstance(geo_raw, str):
-            geo_raw = {"kind": "fixture", "table": geo_raw}
-        if isinstance(geo_raw, dict):
-            if geo_raw.get("kind", "fixture") == "fixture":
-                table = Path(geo_raw["table"])
-                if not table.is_absolute():
-                    table = base / table
-                geocoder = ingest.FixtureGeocoder.from_csv(table)
-            else:
-                geocoder = ingest.HttpGeocoder(geo_raw["endpoint"])
-        elif geo_raw is not None:
-            raise ConfigError(f"{path}: 'geocoder' must be a string, an object or null")
-
-        filt_raw = _typed(raw, "filter", str(path), dict)
-        geo_scope = _parse_geo_scope(_typed(filt_raw, "geo", "filter", dict))
-        time_raw = _typed(filt_raw, "time", "filter", dict)
-        time_scope = ingest.TimeScope(
-            start=parse_rfc3339(_require(time_raw, "start", "filter.time")),
-            end=parse_rfc3339(_require(time_raw, "end", "filter.time")),
-        )
-
-        def strings(key: str, default):
-            return _typed(filt_raw, key, "filter", list, default, items=str)
-
-        region_whitelist = strings("region_whitelist", None)
-        filter_cfg = filtering.FilterConfig(
-            required_fields=frozenset(strings("required_fields", ["START_TIME", "LAT", "LON"])),
-            blacklist_terms=tuple(strings("blacklist_terms", [])),
-            blacklist_target_fields=frozenset(
-                strings("blacklist_target_fields", ["VENUE", "NAME"])),
-            region_whitelist=frozenset(region_whitelist) if region_whitelist else None,
-            geo=geo_scope,
-            time=time_scope,
-            soft_mode=_typed(filt_raw, "soft_mode", "filter", bool, False),
-        )
-
-        assoc_raw = _typed(raw, "geo_assoc", str(path), dict, {})
-        geo_assoc = association.GeoAssocParams(
-            max_dist_km=_typed(assoc_raw, "max_dist_km", "geo_assoc", float, 2.0),
-            min_sites=_typed(assoc_raw, "min_sites", "geo_assoc", int, 1),
-            max_sites=_typed(assoc_raw, "max_sites", "geo_assoc", int, 7),
-        )
-
-        eaw_raw = _typed(raw, "eaw", str(path), dict, {})
-        durations = _typed(eaw_raw, "category_durations_hours", "eaw", dict, {})
-        eaw = association.EawParams(
-            pre_margin=_typed(eaw_raw, "pre_margin", "eaw", int, 1),
-            post_margin=_typed(eaw_raw, "post_margin", "eaw", int, 1),
-            default_duration=timedelta(
-                hours=_typed(eaw_raw, "default_duration_hours", "eaw", float, 3.0)),
-            category_durations={
-                name: timedelta(
-                    hours=_typed(durations, name, "eaw.category_durations_hours", float))
-                for name in durations
-            },
-            sigma_scale=_typed(eaw_raw, "sigma_scale", "eaw", float, 1.0),
-        )
-
-        r_threshold = _typed(raw, "r_threshold", str(path), float, 0.7)
-        if not 0.0 < r_threshold <= 1.0:
-            raise ConfigError(f"r_threshold {r_threshold} outside (0, 1]")
-        stat = raw.get("aggregate_stat", "mean")
-        if stat not in association.AGGREGATE_STATS:
-            raise ConfigError(f"unknown aggregate_stat {stat!r}")
-        normalization = raw.get("normalization", "auto")
-        if normalization not in ("auto", "none", *network.CYCLE_HOURS):
-            raise ConfigError(f"unknown normalization {normalization!r}")
-
-        fusion_raw = _typed(raw, "fusion", str(path), dict, {})
-        name_threshold = _typed(fusion_raw, "name_threshold", "fusion", float, 0.85)
-        if not 0.0 <= name_threshold <= 1.0:
-            raise ConfigError(f"fusion.name_threshold {name_threshold} outside [0, 1]")
-        tolerance_minutes = _typed(fusion_raw, "time_tolerance_minutes", "fusion", float, 30)
-        if not 0.0 <= tolerance_minutes < math.inf:
-            raise ConfigError(
-                f"fusion.time_tolerance_minutes {tolerance_minutes} must be finite and >= 0")
-
-        paths_raw = _typed(raw, "paths", str(path), dict, {})
-
-        def _resolve(key: str) -> Optional[Path]:
-            value = paths_raw.get(key)
-            if value is None:
-                return None
-            p = Path(value)
-            return p if p.is_absolute() else base / p
-
-        topology_path = _resolve("topology")
-        kpi_path = _resolve("kpis")
-        for label, p in (("topology", topology_path), ("kpis", kpi_path)):
-            if p is not None and not p.exists():
-                raise ConfigError(f"configured {label} path does not exist: {p}")
-
-        return RunConfig(
-            sources=sources,
-            geocoder=geocoder,
-            filter=filter_cfg,
-            geo_assoc=geo_assoc,
-            eaw=eaw,
-            metrics=list(_typed(raw, "metrics", str(path), list, [], items=str)),
-            r_threshold=r_threshold,
-            aggregate_stat=stat,
-            normalization=normalization,
-            fusion_name_threshold=name_threshold,
-            fusion_time_tolerance=timedelta(minutes=tolerance_minutes),
-            topology_path=topology_path,
-            kpi_path=kpi_path,
-            output_dir=_resolve("output"),
-        )
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
-        raise ConfigError(f"{path}: bad config ({exc})") from None
 
 
 # ---------------------------------------------------------------------------
@@ -321,6 +95,8 @@ def _association_texts(
     cells with its bearing offset. The text around the numbers is the same
     for every entry of one site or cell, so it is built once per call.
     """
+    from . import association
+
     quoted_time = functools.lru_cache(maxsize=None)(  # events share few distinct times
         lambda time: encode_basestring(format_rfc3339(time)))
     site_texts: dict[str, tuple[str, list[network.Cell], list[str]]] = {}
@@ -492,9 +268,7 @@ def _events_input(out_dir: Path, explicit: Optional[str]) -> Path:
         candidate = out_dir / name
         if candidate.exists():
             return candidate
-    raise ConfigError(
-        f"no event file found in {out_dir}; run ingest first or pass --events"
-    )
+    raise ConfigError(f"no event file found in {out_dir}; run ingest first or pass --events")
 
 
 @cli.command("ingest")
@@ -530,13 +304,9 @@ def cmd_ingest(config_path: str, out: Optional[str]):
     else:
         consolidated = parsed
 
-    priorities = {s.source_id: s.priority for s in config.sources}
-    fused = ingest.fuse_sources(
-        consolidated,
-        name_threshold=config.fusion_name_threshold,
-        time_tolerance=config.fusion_time_tolerance,
-        priorities=priorities,
-    )
+    fused = ingest.fuse_sources(consolidated, config.fusion_name_threshold,
+                                config.fusion_time_tolerance,
+                                priorities={s.source_id: s.priority for s in config.sources})
     events_path = out_dir / "events.ndjson"
     ingest.write_events(fused, events_path)
 
@@ -556,8 +326,7 @@ def cmd_filter(config_path: str, events_path: Optional[str], out: Optional[str])
     """Apply availability, geographic, semantic and temporal filters."""
     config = load_config(config_path)
     out_dir = _out_dir(config, out)
-    source = Path(events_path) if events_path else out_dir / "events.ndjson"
-    events = ingest.read_events(source)
+    events = ingest.read_events(Path(events_path) if events_path else out_dir / "events.ndjson")
 
     kept, traces = filtering.run_filters(events, config.filter)
     filtered_path = out_dir / "filtered.ndjson"
@@ -566,10 +335,9 @@ def cmd_filter(config_path: str, events_path: Optional[str], out: Optional[str])
     filtering.write_traces(traces, drops_path)
 
     venues = len({e.venue for e in kept if e.venue})
-    click.echo(f"input: {len(events)}")
-    click.echo(f"kept: {len(kept)}")
-    click.echo(f"dropped: {len(traces)}")
-    click.echo(f"venues: {venues}")
+    for label, count in (("input", len(events)), ("kept", len(kept)), ("dropped", len(traces)),
+                         ("venues", venues)):
+        click.echo(f"{label}: {count}")
     click.echo(f"wrote {filtered_path} and {drops_path}")
 
 
@@ -580,6 +348,8 @@ def cmd_filter(config_path: str, events_path: Optional[str], out: Optional[str])
 @click.option("--stamp", is_flag=True, help="Embed a generation timestamp in the report.")
 def cmd_associate(config_path: str, events_path: Optional[str], out: Optional[str], stamp: bool):
     """Geographic association: close sites and per-cell bearing offsets."""
+    from . import association, network
+
     config = load_config(config_path)
     out_dir = _out_dir(config, out)
     if config.topology_path is None:
@@ -589,8 +359,7 @@ def cmd_associate(config_path: str, events_path: Optional[str], out: Optional[st
     for cell in sorted(cells, key=lambda c: c.cell_id):
         cells_by_site.setdefault(cell.site_id, []).append(cell)
 
-    source = _events_input(out_dir, events_path)
-    events = ingest.read_events(source)
+    events = ingest.read_events(_events_input(out_dir, events_path))
 
     located = []
     skipped = 0
@@ -613,7 +382,7 @@ def cmd_associate(config_path: str, events_path: Optional[str], out: Optional[st
 @click.option("--cell", "cell_id", required=True, help="Degraded cell to explain.")
 @click.option("--events", "events_path", type=click.Path(), help="Event file (default: <out>/events.ndjson).")
 @click.option("--threshold", type=float, help="Override r_threshold from the config.")
-@click.option("--stat", type=click.Choice(association.AGGREGATE_STATS), help="Override aggregate_stat.")
+@click.option("--stat", type=click.Choice(AGGREGATE_STATS), help="Override aggregate_stat.")
 @click.option("--raw", is_flag=True, help="Correlate on raw KPIs instead of normalized residuals.")
 @click.option("--out", type=click.Path())
 @click.option("--stamp", is_flag=True)
@@ -621,7 +390,12 @@ def cmd_analyze(config_path: str, cell_id: str, events_path: Optional[str],
                 threshold: Optional[float], stat: Optional[str], raw: bool,
                 out: Optional[str], stamp: bool):
     """Rank candidate venues behind a degradation of one cell."""
+    from . import association, network
+
     config = load_config(config_path)
+    overrides = {"r_threshold": threshold, "aggregate_stat": stat,
+                 "normalization": "none" if raw else None}
+    config = replace(config, **{k: v for k, v in overrides.items() if v is not None})
     out_dir = _out_dir(config, out)
     if config.topology_path is None or config.kpi_path is None:
         raise ConfigError("paths.topology and paths.kpis are required for analyze")
@@ -640,24 +414,11 @@ def cmd_analyze(config_path: str, cell_id: str, events_path: Optional[str],
                               f"{config.metrics}; it has {sorted({s.metric for s in kpis})}")
         kpis = chosen
 
-    source = _events_input(out_dir, events_path)
-    events = ingest.read_events(source)
+    events = ingest.read_events(_events_input(out_dir, events_path))
 
-    r_threshold = threshold if threshold is not None else config.r_threshold
-    if not 0.0 < r_threshold <= 1.0:
-        raise ConfigError(f"threshold {r_threshold} outside (0, 1]")
-    chosen_stat = stat or config.aggregate_stat
     candidates = association.identify_causes(
-        cell,
-        events,
-        sites,
-        kpis,
-        config.geo_assoc,
-        r_threshold=r_threshold,
-        eaw_params=config.eaw,
-        stat=chosen_stat,
-        normalization="none" if raw else config.normalization,
-    )
+        cell, events, sites, kpis, config.geo_assoc, r_threshold=config.r_threshold,
+        eaw_params=config.eaw, stat=config.aggregate_stat, normalization=config.normalization)
 
     events_by_id = {e.event_id: e for e in events}
     report_path = out_dir / "report.json"
@@ -668,19 +429,17 @@ def cmd_analyze(config_path: str, cell_id: str, events_path: Optional[str],
     summary_buffer = io.StringIO()
     writer = csv.writer(summary_buffer)
     writer.writerow(["rank", "venue", "n_events", "best_metric", "best_abs_r", "flagged"])
-    for rank, candidate in enumerate(candidates, start=1):
-        writer.writerow([
-            rank, candidate.venue_label, len(candidate.event_ids),
-            candidate.best_metric, f"{candidate.best_score:.6f}",
-            str(candidate.flagged).lower(),
-        ])
+    writer.writerows(
+        [rank, candidate.venue_label, len(candidate.event_ids), candidate.best_metric,
+         f"{candidate.best_score:.6f}", str(candidate.flagged).lower()]
+        for rank, candidate in enumerate(candidates, start=1))
     summary_path = out_dir / "summary.csv"
     atomic_write_text(summary_path, summary_buffer.getvalue())
 
     click.echo(json.dumps({
         "cell": cell_id,
-        "stat": chosen_stat,
-        "threshold": r_threshold,
+        "stat": config.aggregate_stat,
+        "threshold": config.r_threshold,
         "n_candidates": len(candidates),
         "flagged": [c.venue_label for c in candidates if c.flagged],
         "top_venue": candidates[0].venue_label if candidates else None,
@@ -709,68 +468,8 @@ def cmd_simulate(spec_path: Optional[str], preset: Optional[str], seed: int, out
         bundle = scenario.build(scenario.detection_spec(seed))
     else:
         bundle = scenario.build(load_scenario_spec(spec_path))
-    written = bundle.write(out)
-    for path in written:
+    for path in bundle.write(out):
         click.echo(f"wrote {path}")
-
-
-def load_scenario_spec(path: str | Path) -> ScenarioSpec:
-    """Read a ScenarioSpec from its JSON file form."""
-    from . import scenario
-
-    try:
-        raw = json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{path}: invalid JSON ({exc})") from None
-    except UnicodeDecodeError:
-        raise ConfigError(undecodable(path)) from None
-    try:
-        metrics = tuple(
-            scenario.MetricSpec(
-                name=m["name"],
-                daily_profile=tuple(float(v) for v in m["daily_profile"]),
-                noise_sigma=float(m.get("noise_sigma", 0.0)),
-            )
-            for m in _typed(raw, "metrics", str(path), list, items=dict)
-        )
-        injected = tuple(
-            scenario.InjectedEventSpec(
-                venue=e["venue"],
-                start=parse_rfc3339(e["start"]),
-                duration=timedelta(hours=float(e["duration_hours"])),
-                amplitudes=e["amplitudes"],
-                lat=e.get("lat"),
-                lon=e.get("lon"),
-                anchor_site=e.get("anchor_site"),
-                anchor_bearing_deg=float(e.get("anchor_bearing_deg", 0.0)),
-                anchor_distance_km=float(e.get("anchor_distance_km", 0.5)),
-                cells=tuple(e["cells"]) if isinstance(e.get("cells"), list) else "auto",
-                category=e.get("category"),
-            )
-            for e in _typed(raw, "injected_events", str(path), list, [], items=dict)
-        )
-        decoys_raw = _typed(raw, "decoy_events", str(path), dict, {})
-        decoys = scenario.DecoySpec(
-            count=int(decoys_raw.get("count", 0)),
-            placement=decoys_raw.get("placement", "in_area"),
-            events_per_venue=int(decoys_raw.get("events_per_venue", 1)),
-            min_km_from_sites=float(decoys_raw.get("min_km_from_sites", 3.0)),
-        )
-        spec = scenario.ScenarioSpec(
-            seed=int(_require(raw, "seed", str(path))),
-            n_sites=int(_require(raw, "n_sites", str(path))),
-            area=ingest.BoundingBox(*[float(v) for v in _typed(raw, "area", str(path), list,
-                                                               items=float)]),
-            days=int(_require(raw, "days", str(path))),
-            metrics=metrics,
-            injected=injected,
-            decoys=decoys,
-            sectors_per_site=int(raw.get("sectors_per_site", 3)),
-            start=parse_rfc3339(raw["start"]) if "start" in raw else datetime(2017, 3, 1, tzinfo=UTC),
-        )
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
-        raise ConfigError(f"{path}: bad scenario spec ({exc})") from None
-    return spec
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:

@@ -5,10 +5,12 @@ plenty for the km-scale association distances used here.
 from __future__ import annotations
 
 import math
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import DegenerateGeometry
+
+if TYPE_CHECKING:
+    import numpy as np
 
 EARTH_RADIUS_KM = 6371.0
 
@@ -38,6 +40,8 @@ def distances_km(lat, lon, site_lat, site_lon) -> np.ndarray:
     and ``arctan2`` may differ from ``math``'s in the last ulps, so these
     values only prune candidates; no caller writes or compares them.
     """
+    import numpy as np  # only association needs it, so filtering starts without numpy
+
     lat1 = np.radians(np.asarray(lat, dtype=float))[:, None]
     lon1 = np.radians(np.asarray(lon, dtype=float))[:, None]
     lat2 = np.radians(np.asarray(site_lat, dtype=float))[None, :]

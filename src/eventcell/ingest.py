@@ -116,6 +116,18 @@ class SocialEvent(_EventFields):
         if popularity is not None and not 0.0 <= popularity < math.inf:
             raise InvariantError(f"{event_id}: popularity {popularity} is not a "
                                  "finite number >= 0")
+        text = f"{event_id}{name}{source_id}{raw_id}{venue or ''}{category or ''}"
+        if address is not None:
+            text += (f"{address.street}{address.city}{address.region}{address.country}"
+                     f"{address.text}")
+        if merge_notes:
+            text += "".join(merge_notes)
+        if not text.isascii():  # only a non-ASCII text can hold a lone surrogate
+            try:
+                text.encode()
+            except UnicodeEncodeError:
+                raise InvariantError("a text field holds a lone surrogate, which UTF-8 cannot "
+                                     "encode") from None
         return tuple.__new__(cls, (event_id, name, start_time, source_id, raw_id, end_time, lat,
                                    lon, venue, address, category, popularity, merge_notes))
 
@@ -138,10 +150,10 @@ class SourceConfig:
     """Declarative description of one event source."""
 
     source_id: str
-    kind: str  # "file" | "http"
     locator: str
-    format: str  # "json_records" | "csv_records"
     field_map: Mapping[str, str]
+    kind: str = "file"  # or "http"
+    format: str = "json_records"  # or "csv_records"
     priority: int = 0
     timezone: str = "UTC"
 

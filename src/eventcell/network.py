@@ -24,6 +24,7 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
+from .config import CYCLE_HOURS
 from .errors import (
     InsufficientHistory,
     InvariantError,
@@ -37,8 +38,6 @@ from .timeutil import UTC, format_rfc3339, parse_rfc3339
 TOPOLOGY_COLUMNS = ("cell_id", "site_id", "lat", "lon", "azimuth", "hor_width", "technology")
 KPI_COLUMNS = ("cell_id", "metric", "timestamp", "value")
 
-# Periodic slot kinds and their cycle lengths, in hours.
-CYCLE_HOURS = {"hour_of_week": 168, "hour_of_day": 24}
 _EPOCH = datetime(1970, 1, 1, tzinfo=UTC)
 _SLOT_ORIGIN = datetime(1970, 1, 5, tzinfo=UTC)  # a Monday, 00:00 UTC
 _MICROSECOND = timedelta(microseconds=1)

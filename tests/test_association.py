@@ -10,9 +10,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from eventcell import association
 from eventcell.association import (
-    EawParams,
     EventCellCorrelation,
-    GeoAssocParams,
     aggregate_venue,
     associate_events,
     associate_geographic,
@@ -25,6 +23,7 @@ from eventcell.association import (
     social_indicator,
     venue_key_for,
 )
+from eventcell.config import EawParams, GeoAssocParams
 from eventcell.errors import (
     ConfigError,
     LengthMismatch,

@@ -12,8 +12,12 @@ from hypothesis import strategies as st
 
 from eventcell import association, cli, network
 from eventcell.cli import _association_texts, _json_text, _write_json_report, main
+from eventcell.config import (DEFAULT_R_THRESHOLD, EawParams, GeoAssocParams, load_config,
+                              load_scenario_spec)
 from eventcell.errors import DegenerateGeometry, InvariantError
-from eventcell.ingest import Address, address_record, read_events, write_events
+from eventcell.filtering import FilterConfig
+from eventcell.ingest import (DEFAULT_NAME_THRESHOLD, DEFAULT_TIME_TOLERANCE, Address,
+                              SourceConfig, address_record, read_events, write_events)
 from eventcell.network import MAX_SERIES_SAMPLES, Cell, Site, load_kpis, periodic_kind
 from eventcell.timeutil import format_rfc3339
 
@@ -60,14 +64,22 @@ def test_simulate_spec_file(tmp_path):
     assert (tmp_path / "out" / "kpis.csv").exists()
 
 
-@pytest.mark.parametrize("key, value", [
-    ("area", "1234"),
-    ("area", ["36.6", 36.8, -4.6, -4.4]),
-    ("decoy_events", []),
-    ("metrics", {"name": "NUM_DROPS"}),
-    ("injected_events", ["V"]),
-], ids=["area-string", "area-string-item", "decoys-array", "metrics-object", "injected-string"])
-def test_simulate_spec_section_of_wrong_json_type_exits_1(tmp_path, capsys, key, value):
+@pytest.mark.parametrize("key, value, named", [
+    ("area", "1234", "area"),
+    ("area", ["36.6", 36.8, -4.6, -4.4], "area"),
+    ("decoy_events", [], "decoy_events"),
+    ("metrics", {"name": "NUM_DROPS"}, "metrics"),
+    ("injected_events", ["V"], "injected_events"),
+    ("seed", "11", "seed"),
+    ("n_sites", 2.7, "n_sites"),
+    ("days", True, "days"),
+    ("metrics", [{"name": "NUM_DROPS", "daily_profile": ["1"] * 24}], "daily_profile"),
+    ("decoy_events", {"count": 2.9}, "count"),
+    ("decoy_events", {"events_per_venue": "1"}, "events_per_venue"),
+], ids=["area-string", "area-string-item", "decoys-array", "metrics-object", "injected-string",
+        "seed-string", "sites-fraction", "days-bool", "profile-strings", "decoy-count-fraction",
+        "decoys-per-venue-string"])
+def test_simulate_spec_section_of_wrong_json_type_exits_1(tmp_path, capsys, key, value, named):
     spec = {
         "seed": 11, "n_sites": 2, "area": [36.6, 36.8, -4.6, -4.4], "days": 3,
         "metrics": [{"name": "NUM_DROPS", "daily_profile": list(range(24))}],
@@ -77,7 +89,20 @@ def test_simulate_spec_section_of_wrong_json_type_exits_1(tmp_path, capsys, key,
     spec_path.write_text(json.dumps(spec))
     assert main(["simulate", "--spec", str(spec_path), "--out", str(tmp_path / "out")]) == 1
     err = capsys.readouterr().err
-    assert f"'{key}'" in err and "Traceback" not in err
+    assert f"'{named}'" in err and "Traceback" not in err
+
+
+def test_simulate_spec_integers_may_be_integral_numbers(tmp_path):
+    spec = {
+        "seed": 11.0, "n_sites": 2.0, "area": [36.6, 36.8, -4.6, -4.4], "days": 3.0,
+        "metrics": [{"name": "NUM_DROPS", "daily_profile": list(range(24))}],
+        "decoy_events": {"count": 2.0, "events_per_venue": 1},
+    }
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps(spec))
+    loaded = load_scenario_spec(spec_path)
+    assert (loaded.seed, loaded.n_sites, loaded.days, loaded.decoys.count) == (11, 2, 3, 2)
+    assert type(loaded.seed) is int and type(loaded.metrics[0].daily_profile[1]) is float
     assert not (tmp_path / "out").exists()
 
 
@@ -248,8 +273,28 @@ def test_config_scalar_of_wrong_json_type_exits_1(t1_dir, tmp_path, capsys, keys
 
 def test_config_integers_may_be_integral_numbers(t1_dir, tmp_path):
     path = _t1_config_with(t1_dir, tmp_path, "geo_assoc", {"min_sites": 2.0, "max_sites": 7.0})
-    params = cli.load_config(path).geo_assoc
+    params = load_config(path).geo_assoc
     assert (params.min_sites, params.max_sites) == (2, 7) and type(params.min_sites) is int
+
+
+def test_config_of_required_keys_only_takes_each_receivers_defaults(tmp_path):
+    field_map = {"n": "NAME", "t": "START_TIME"}
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({
+        "sources": [{"source_id": "s", "locator": "feed.ndjson", "field_map": field_map}],
+        "filter": {"geo": {"box": [36.0, 37.0, -5.0, -4.0]},
+                   "time": {"start": "2017-03-01T00:00:00Z", "end": "2017-04-01T00:00:00Z"}},
+    }))
+    config = load_config(path)
+    assert config.sources == [
+        SourceConfig(source_id="s", locator=str(tmp_path / "feed.ndjson"), field_map=field_map)]
+    assert config.filter == FilterConfig(geo=config.filter.geo, time=config.filter.time)
+    assert config.geo_assoc == GeoAssocParams() and config.eaw == EawParams()
+    assert config.fusion_name_threshold == DEFAULT_NAME_THRESHOLD
+    assert config.fusion_time_tolerance == DEFAULT_TIME_TOLERANCE
+    assert config.r_threshold == DEFAULT_R_THRESHOLD
+    assert (config.metrics, config.aggregate_stat, config.normalization) == ([], "mean", "auto")
+    assert config.geocoder is config.topology_path is config.kpi_path is config.output_dir is None
 
 
 def _assert_config_value_refused(t1_dir, tmp_path, capsys, keys, value):
@@ -437,6 +482,8 @@ def _association_record(event, close_sites, cells_by_site) -> dict:
 
 
 _TEXT = st.text(_JSON_CHARS, max_size=8)
+# An event holds no lone surrogate (SocialEvent refuses one), so its texts draw none.
+_EVENT_TEXT = st.text(_JSON_CHARS.filter(lambda c: not "\ud800" <= c <= "\udfff"), max_size=8)
 _COORDINATES = st.tuples(
     st.floats(-90, 90) | st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308]),
     st.floats(-180, 180) | st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 180.0, -180.0]))
@@ -453,14 +500,15 @@ def _associations(draw):
                          for cell_id in draw(st.lists(_TEXT, max_size=3, unique=True))),
                         key=lambda cell: cell.cell_id)
         for site_id in site_ids if draw(st.booleans())}
-    address = st.none() | st.builds(Address, *[st.none() | _TEXT] * 5)
+    address = st.none() | st.builds(Address, *[st.none() | _EVENT_TEXT] * 5)
     events, closes = [], []
     for k in range(draw(st.integers(0, 4))):
         lat, lon = draw(st.sampled_from(sites).map(lambda site: site.location) | _COORDINATES)
         start = T0 + timedelta(minutes=draw(st.integers(0, 10_000)))
         end = draw(st.none() | st.integers(1, 600).map(lambda m: start + timedelta(minutes=m)))
-        events.append(make_event(raw_id=draw(_TEXT) + str(k), name=draw(_TEXT), start=start,
-                                 end=end, lat=lat, lon=lon, venue=draw(st.none() | _TEXT),
+        events.append(make_event(raw_id=draw(_EVENT_TEXT) + str(k), name=draw(_EVENT_TEXT),
+                                 start=start, end=end, lat=lat, lon=lon,
+                                 venue=draw(st.none() | _EVENT_TEXT),
                                  address=draw(address)))
         closes.append(draw(st.lists(st.tuples(
             st.sampled_from(sites),
@@ -536,6 +584,13 @@ def test_analyze_stamp_adds_timestamp(t1_dir, tmp_path):
                  "--out", str(tmp_path), "--stamp"]) == 0
     report = json.loads((tmp_path / "report.json").read_text())
     assert "GENERATED_AT" in report
+
+
+@pytest.mark.parametrize("threshold", ["0", "1.5", "nan"])
+def test_analyze_threshold_outside_the_unit_interval_exits_1(t1_dir, tmp_path, capsys, threshold):
+    assert main(["analyze", "--config", _config(t1_dir), "--cell", "CELL_1A",
+                 "--threshold", threshold, "--out", str(tmp_path)]) == 1
+    assert "outside (0, 1]" in capsys.readouterr().err
 
 
 def test_analyze_unknown_cell(t1_dir, tmp_path):
@@ -808,8 +863,12 @@ def t1_events(t1_dir, tmp_path_factory):
     ({"NAME": None}, "field NAME must be a string, not null"),
     ({"RAW_ID": ...}, "missing field RAW_ID"),
     ([1, 2], "expected an object, not an array"),
+    ({"NAME": "bad\ud800name"}, "a text field holds a lone surrogate, which UTF-8 cannot encode"),
+    ({"ADDRESS": {"CITY": "\udc00"}},
+     "a text field holds a lone surrogate, which UTF-8 cannot encode"),
 ], ids=["lat-string", "lat-bool", "address-string", "address-part", "notes-number",
-        "notes-item", "id-number", "name-null", "raw-id-missing", "array-line"])
+        "notes-item", "id-number", "name-null", "raw-id-missing", "array-line", "name-surrogate",
+        "address-surrogate"])
 @pytest.mark.parametrize("stage", [["filter"], ["associate"], ["analyze", "--cell", "CELL_1A"]],
                          ids=["filter", "associate", "analyze"])
 def test_mistyped_canonical_event_exits_1_naming_file_line_and_field(
@@ -871,6 +930,15 @@ def test_ingest_skips_a_record_with_a_non_finite_popularity(tmp_path, capsys, va
     assert "parsed: 1" in capsys.readouterr().out
     [event] = read_events(tmp_path / "out" / "events.ndjson")
     assert (event.name, event.popularity) == ("Good", 12.0)
+
+
+def test_ingest_skips_a_record_holding_a_lone_surrogate(tmp_path, capsys):
+    bad = json.dumps({"n": "Bad\ud800", "t": "2017-03-10T10:00:00Z", "la": 36.72, "lo": -4.42})
+    config = _feed_config(tmp_path, bad + "\n" + _feed_line("Good", 11))
+    assert main(["ingest", "--config", config]) == 0
+    captured = capsys.readouterr()
+    assert "parsed: 1" in captured.out and "Traceback" not in captured.err
+    assert [event.name for event in read_events(tmp_path / "out" / "events.ndjson")] == ["Good"]
 
 
 @pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity"])

@@ -302,17 +302,30 @@ def test_http_geocoder_failure_is_none():
 
 
 
-def test_importing_the_cli_leaves_requests_unloaded():
+def test_importing_the_cli_leaves_requests_unloaded(tmp_path):
+    """A CLI start, reading the config and a whole ingest + filter run load
+    neither numpy nor the layers that need it, nor requests."""
     import eventcell
+    from eventcell.cli import main
 
+    assert main(["simulate", "--preset", "funnel", "--out", str(tmp_path)]) == 0
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(Path(eventcell.__file__).parents[1]), env.get("PYTHONPATH", "")])
-    code = ("import sys, eventcell.cli; "
-            "print(sorted({'requests', 'urllib3', 'eventcell.scenario'} & set(sys.modules)))")
-    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                            text=True, check=True, timeout=60)
-    assert result.stdout.strip() == "[]"
+    unloaded = ["numpy", "eventcell.association", "eventcell.network", "eventcell.scenario",
+                "requests", "urllib3"]
+    config = str(tmp_path / "config.json")
+    code = ("import sys, eventcell.cli as cli\n"
+            "loaded = [set(sys.modules)]\n"
+            "cli.load_config(sys.argv[1])\n"
+            "loaded.append(set(sys.modules))\n"
+            "for stage in ('ingest', 'filter'):\n"
+            "    assert cli.main([stage, '--config', sys.argv[1]]) == 0\n"
+            "loaded.append(set(sys.modules))\n"
+            f"print([sorted(set({unloaded!r}) & names) for names in loaded])")
+    result = subprocess.run([sys.executable, "-c", code, config], env=env, capture_output=True,
+                            text=True, check=True, timeout=120)
+    assert result.stdout.strip().splitlines()[-1] == "[[], [], []]"
 
 
 class _FakeResponse:

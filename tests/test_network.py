@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from eventcell.config import CYCLE_HOURS
 from eventcell.errors import (
     EventcellError,
     InsufficientHistory,
@@ -19,7 +20,6 @@ from eventcell.errors import (
 from eventcell import network
 from eventcell.fsutil import atomic_write_text
 from eventcell.network import (
-    CYCLE_HOURS,
     KPI_COLUMNS,
     MAX_SERIES_SAMPLES,
     Cell,

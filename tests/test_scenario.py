@@ -12,9 +12,8 @@ from eventcell.association import (
     bearing_offsets,
     correlate_event,
     identify_causes,
-    GeoAssocParams,
 )
-from eventcell.cli import load_config
+from eventcell.config import GeoAssocParams, load_config
 from eventcell.errors import SpecError
 from eventcell.filtering import run_filters
 from eventcell.geo import haversine_km
