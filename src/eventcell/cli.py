@@ -26,8 +26,14 @@ import click
 
 from . import filtering, ingest
 from .config import AGGREGATE_STATS, RunConfig, load_config, load_scenario_spec
-from .errors import (ConfigError, DegenerateGeometry, EventcellError, InvariantError,
-                     SourceUnreachable, UnknownCell)
+from .errors import (
+    ConfigError,
+    DegenerateGeometry,
+    EventcellError,
+    InvariantError,
+    SourceUnreachable,
+    UnknownCell,
+)
 from .fsutil import atomic_write_text
 from .timeutil import UTC, format_rfc3339
 
@@ -268,7 +274,9 @@ def _events_input(out_dir: Path, explicit: Optional[str]) -> Path:
         candidate = out_dir / name
         if candidate.exists():
             return candidate
-    raise ConfigError(f"no event file found in {out_dir}; run ingest first or pass --events")
+    raise ConfigError(
+        f"no event file found in {out_dir}; run ingest first or pass --events"
+    )
 
 
 @cli.command("ingest")
@@ -304,9 +312,13 @@ def cmd_ingest(config_path: str, out: Optional[str]):
     else:
         consolidated = parsed
 
-    fused = ingest.fuse_sources(consolidated, config.fusion_name_threshold,
-                                config.fusion_time_tolerance,
-                                priorities={s.source_id: s.priority for s in config.sources})
+    priorities = {s.source_id: s.priority for s in config.sources}
+    fused = ingest.fuse_sources(
+        consolidated,
+        name_threshold=config.fusion_name_threshold,
+        time_tolerance=config.fusion_time_tolerance,
+        priorities=priorities,
+    )
     events_path = out_dir / "events.ndjson"
     ingest.write_events(fused, events_path)
 
@@ -326,7 +338,8 @@ def cmd_filter(config_path: str, events_path: Optional[str], out: Optional[str])
     """Apply availability, geographic, semantic and temporal filters."""
     config = load_config(config_path)
     out_dir = _out_dir(config, out)
-    events = ingest.read_events(Path(events_path) if events_path else out_dir / "events.ndjson")
+    source = Path(events_path) if events_path else out_dir / "events.ndjson"
+    events = ingest.read_events(source)
 
     kept, traces = filtering.run_filters(events, config.filter)
     filtered_path = out_dir / "filtered.ndjson"
@@ -335,9 +348,10 @@ def cmd_filter(config_path: str, events_path: Optional[str], out: Optional[str])
     filtering.write_traces(traces, drops_path)
 
     venues = len({e.venue for e in kept if e.venue})
-    for label, count in (("input", len(events)), ("kept", len(kept)), ("dropped", len(traces)),
-                         ("venues", venues)):
-        click.echo(f"{label}: {count}")
+    click.echo(f"input: {len(events)}")
+    click.echo(f"kept: {len(kept)}")
+    click.echo(f"dropped: {len(traces)}")
+    click.echo(f"venues: {venues}")
     click.echo(f"wrote {filtered_path} and {drops_path}")
 
 
@@ -359,7 +373,8 @@ def cmd_associate(config_path: str, events_path: Optional[str], out: Optional[st
     for cell in sorted(cells, key=lambda c: c.cell_id):
         cells_by_site.setdefault(cell.site_id, []).append(cell)
 
-    events = ingest.read_events(_events_input(out_dir, events_path))
+    source = _events_input(out_dir, events_path)
+    events = ingest.read_events(source)
 
     located = []
     skipped = 0
@@ -414,11 +429,20 @@ def cmd_analyze(config_path: str, cell_id: str, events_path: Optional[str],
                               f"{config.metrics}; it has {sorted({s.metric for s in kpis})}")
         kpis = chosen
 
-    events = ingest.read_events(_events_input(out_dir, events_path))
+    source = _events_input(out_dir, events_path)
+    events = ingest.read_events(source)
 
     candidates = association.identify_causes(
-        cell, events, sites, kpis, config.geo_assoc, r_threshold=config.r_threshold,
-        eaw_params=config.eaw, stat=config.aggregate_stat, normalization=config.normalization)
+        cell,
+        events,
+        sites,
+        kpis,
+        config.geo_assoc,
+        r_threshold=config.r_threshold,
+        eaw_params=config.eaw,
+        stat=config.aggregate_stat,
+        normalization=config.normalization,
+    )
 
     events_by_id = {e.event_id: e for e in events}
     report_path = out_dir / "report.json"
@@ -429,10 +453,12 @@ def cmd_analyze(config_path: str, cell_id: str, events_path: Optional[str],
     summary_buffer = io.StringIO()
     writer = csv.writer(summary_buffer)
     writer.writerow(["rank", "venue", "n_events", "best_metric", "best_abs_r", "flagged"])
-    writer.writerows(
-        [rank, candidate.venue_label, len(candidate.event_ids), candidate.best_metric,
-         f"{candidate.best_score:.6f}", str(candidate.flagged).lower()]
-        for rank, candidate in enumerate(candidates, start=1))
+    for rank, candidate in enumerate(candidates, start=1):
+        writer.writerow([
+            rank, candidate.venue_label, len(candidate.event_ids),
+            candidate.best_metric, f"{candidate.best_score:.6f}",
+            str(candidate.flagged).lower(),
+        ])
     summary_path = out_dir / "summary.csv"
     atomic_write_text(summary_path, summary_buffer.getvalue())
 
@@ -468,7 +494,8 @@ def cmd_simulate(spec_path: Optional[str], preset: Optional[str], seed: int, out
         bundle = scenario.build(scenario.detection_spec(seed))
     else:
         bundle = scenario.build(load_scenario_spec(spec_path))
-    for path in bundle.write(out):
+    written = bundle.write(out)
+    for path in written:
         click.echo(f"wrote {path}")
 
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from datetime import timedelta
 from pathlib import Path
 from types import GenericAlias
-from typing import TYPE_CHECKING, Mapping, Optional
+from typing import TYPE_CHECKING, Mapping, Optional, Union, get_args, get_origin
 
 from . import filtering, ingest
 from .errors import ConfigError
@@ -133,15 +133,19 @@ def _typed(mapping: dict, key: str, context: str, kind, default=_REQUIRED):
     return kind(value) if kind in (int, float) else value
 
 
-def _fields(section: dict, context: str, **kinds) -> dict:
+def _fields(section: dict, context: str, required: tuple[str, ...] = (), /, **kinds) -> dict:
     """The keys of ``kinds`` that ``section`` holds, each checked by
-    ``_typed`` and, where its kind is given as ``(kind, convert)``, converted.
-    Absent keys are left out, so the receiver's default applies."""
+    ``_typed`` and, where its kind is given as ``(kind, convert)``, converted;
+    an ``Optional[kind]`` key may also be null, passed on as None. A missing
+    key of ``required`` is an error; other absent keys are left out, so the
+    receiver's default applies."""
     fields = {}
     for key, kind in kinds.items():
-        if key in section:
+        if key in section or key in required:
             kind, convert = kind if isinstance(kind, tuple) else (kind, None)
-            value = _typed(section, key, context, kind)
+            nullable = get_origin(kind) is Union
+            value = _typed(section, key, context, get_args(kind)[0] if nullable else kind,
+                           None if nullable else _REQUIRED)
             fields[key] = convert(value) if convert else value
     return fields
 
@@ -170,8 +174,9 @@ def _parse_geo_scope(raw: dict) -> ingest.GeoScope:
     box = _typed(raw, "box", "filter.geo", list[float], None)
     circle = _typed(raw, "circle", "filter.geo", list[float], None)
     return ingest.GeoScope(
-        ingest.CategoricalScope(**_fields(categorical, "filter.geo.categorical", country=str,
-                                          region=str, city=str)) if categorical else None,
+        ingest.CategoricalScope(**_fields(categorical, "filter.geo.categorical",
+                                          country=Optional[str], region=Optional[str],
+                                          city=Optional[str])) if categorical else None,
         ingest.BoundingBox(*box) if box else None, ingest.CircleArea(*circle) if circle else None)
 
 
@@ -186,8 +191,9 @@ def load_config(path: str | Path) -> RunConfig:
     try:
         sources = []
         for entry in _typed(raw, "sources", context, list[dict]):
-            fields = _fields(entry, "source", source_id=str, locator=str, field_map=dict, kind=str,
-                             format=str, priority=int, timezone=str)
+            fields = _fields(entry, "source", ("source_id", "locator", "field_map"), source_id=str,
+                             locator=str, field_map=dict, kind=str, format=str, priority=int,
+                             timezone=str)
             if fields.get("kind", ingest.SourceConfig.kind) == "file":  # the dataclass default
                 fields["locator"] = str(_under(base, fields["locator"]))
             sources.append(ingest.SourceConfig(**fields))
@@ -210,7 +216,7 @@ def load_config(path: str | Path) -> RunConfig:
         filter_cfg = filtering.FilterConfig(
             geo=_parse_geo_scope(_typed(filter_raw, "geo", "filter", dict)),
             time=ingest.TimeScope(**_fields(
-                _typed(filter_raw, "time", "filter", dict), "filter.time",
+                _typed(filter_raw, "time", "filter", dict), "filter.time", ("start", "end"),
                 start=(str, parse_rfc3339), end=(str, parse_rfc3339))),
             region_whitelist=frozenset(whitelist) if whitelist else None,
             **_fields(filter_raw, "filter", required_fields=(list[str], frozenset),
@@ -270,21 +276,22 @@ def load_scenario_spec(path: str | Path) -> ScenarioSpec:
     context = str(path)
     try:
         metrics = tuple(
-            scenario.MetricSpec(**_fields(m, "metrics", name=str, noise_sigma=float,
-                                          daily_profile=(list[float], tuple)))
+            scenario.MetricSpec(**_fields(m, "metrics", ("name", "daily_profile"), name=str,
+                                          noise_sigma=float, daily_profile=(list[float], tuple)))
             for m in _typed(raw, "metrics", context, list[dict]))
         injected = []
         for e in _typed(raw, "injected_events", context, list[dict], []):
             amplitudes = _typed(e, "amplitudes", "injected_events", dict)
-            # "auto", the generator's pick and the dataclass default, or an array of cell ids
-            cells = {} if e.get("cells") == "auto" else {"cells": (list[str], tuple)}
+            # "auto" or null (the generator picks, the dataclass default), else an array of ids
+            cells = {} if e.get("cells") in ("auto", None) else {"cells": (list[str], tuple)}
             injected.append(scenario.InjectedEventSpec(
                 duration=timedelta(hours=_typed(e, "duration_hours", "injected_events", float)),
                 amplitudes={name: _typed(amplitudes, name, "injected_events.amplitudes", float)
                             for name in amplitudes},
-                **_fields(e, "injected_events", venue=str, start=(str, parse_rfc3339), lat=float,
-                          lon=float, anchor_site=int, anchor_bearing_deg=float,
-                          anchor_distance_km=float, category=str, **cells)))
+                **_fields(e, "injected_events", ("venue", "start"), venue=str,
+                          start=(str, parse_rfc3339), lat=Optional[float], lon=Optional[float],
+                          anchor_site=Optional[int], anchor_bearing_deg=float,
+                          anchor_distance_km=float, category=Optional[str], **cells)))
         return scenario.ScenarioSpec(
             area=ingest.BoundingBox(*_typed(raw, "area", context, list[float])),
             metrics=metrics,
@@ -292,7 +299,7 @@ def load_scenario_spec(path: str | Path) -> ScenarioSpec:
             decoys=scenario.DecoySpec(**_fields(
                 _typed(raw, "decoy_events", context, dict, {}), "decoy_events",
                 count=int, placement=str, events_per_venue=int, min_km_from_sites=float)),
-            **_fields(raw, context, seed=int, n_sites=int, days=int, sectors_per_site=int,
-                      start=(str, parse_rfc3339)))
+            **_fields(raw, context, ("seed", "n_sites", "days"), seed=int, n_sites=int, days=int,
+                      sectors_per_site=int, start=(str, parse_rfc3339)))
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"{path}: bad scenario spec ({exc})") from None

@@ -173,14 +173,8 @@ SIM_FIELD_MAP = {
 }
 
 
-def _source_config(locator: str = "events.ndjson", source_id: str = "calendar") -> SourceConfig:
-    return SourceConfig(
-        source_id=source_id,
-        kind="file",
-        locator=locator,
-        format="json_records",
-        field_map=SIM_FIELD_MAP,
-    )
+# The source each fixture's records are parsed with, as its config.json names it.
+_SOURCE = SourceConfig(source_id="calendar", locator="events.ndjson", field_map=SIM_FIELD_MAP)
 
 
 @dataclass
@@ -194,7 +188,6 @@ class FixtureBundle:
     series: list[KpiSeries]
     ground_truth: dict
     config: dict
-    source: SourceConfig
 
     def write(self, out_dir: str | Path) -> list[Path]:
         out = Path(out_dir)
@@ -365,8 +358,7 @@ def build(spec: ScenarioSpec) -> FixtureBundle:
                 }
             )
 
-    source = _source_config()
-    events = [parse_record(r, source) for r in records]
+    events = [parse_record(r, _SOURCE) for r in records]
     event_by_id = {e.event_id: e for e in events}
 
     probe = {
@@ -410,7 +402,7 @@ def build(spec: ScenarioSpec) -> FixtureBundle:
     config = _run_config(_covering_box(spec.area, injected_points), spec.start, end,
                          [m.name for m in spec.metrics])
     ground_truth = {"seed": spec.seed, "events": truth_entries}
-    return FixtureBundle(records, events, sites, cells, series, ground_truth, config, source)
+    return FixtureBundle(records, events, sites, cells, series, ground_truth, config)
 
 
 def _covering_box(area: BoundingBox, points: Sequence[tuple[float, float]]) -> BoundingBox:
@@ -612,8 +604,7 @@ def table1_fixture() -> FixtureBundle:
             )
             counter += 1
 
-    source = _source_config()
-    events = [parse_record(r, source) for r in records]
+    events = [parse_record(r, _SOURCE) for r in records]
     event_by_raw = {e.raw_id: e for e in events}
 
     hours = slot_indices(start, period, n_samples, "hour_of_day")
@@ -647,7 +638,7 @@ def table1_fixture() -> FixtureBundle:
         "causal_events": ["calendar/L1", "calendar/L2"],
         "expected_abs_r": T1_EXPECTED_ABS_R,
     }
-    return FixtureBundle(records, events, [site], cells, series, ground_truth, config, source)
+    return FixtureBundle(records, events, [site], cells, series, ground_truth, config)
 
 
 # ---------------------------------------------------------------------------
@@ -731,8 +722,7 @@ def funnel_fixture() -> FixtureBundle:
             record["lat"], record["lon"] = venue_pos[v]
         records.append(record)
 
-    source = _source_config()
-    events = [parse_record(r, source) for r in records]
+    events = [parse_record(r, _SOURCE) for r in records]
     if len({e.venue for e in events}) != 600:
         raise SpecError("funnel fixture venue count drifted")
 
@@ -743,4 +733,4 @@ def funnel_fixture() -> FixtureBundle:
         with_network=False,
     )
     ground_truth = {"expected": dict(FUNNEL_EXPECTED)}
-    return FixtureBundle(records, events, [], [], [], ground_truth, config, source)
+    return FixtureBundle(records, events, [], [], [], ground_truth, config)

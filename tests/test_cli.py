@@ -17,7 +17,8 @@ from eventcell.config import (DEFAULT_R_THRESHOLD, EawParams, GeoAssocParams, lo
 from eventcell.errors import DegenerateGeometry, InvariantError
 from eventcell.filtering import FilterConfig
 from eventcell.ingest import (DEFAULT_NAME_THRESHOLD, DEFAULT_TIME_TOLERANCE, Address,
-                              SourceConfig, address_record, read_events, write_events)
+                              CategoricalScope, SourceConfig, address_record, read_events,
+                              write_events)
 from eventcell.network import MAX_SERIES_SAMPLES, Cell, Site, load_kpis, periodic_kind
 from eventcell.timeutil import format_rfc3339
 
@@ -90,6 +91,7 @@ def test_simulate_spec_section_of_wrong_json_type_exits_1(tmp_path, capsys, key,
     assert main(["simulate", "--spec", str(spec_path), "--out", str(tmp_path / "out")]) == 1
     err = capsys.readouterr().err
     assert f"'{named}'" in err and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
 
 
 def test_simulate_spec_integers_may_be_integral_numbers(tmp_path):
@@ -103,7 +105,43 @@ def test_simulate_spec_integers_may_be_integral_numbers(tmp_path):
     loaded = load_scenario_spec(spec_path)
     assert (loaded.seed, loaded.n_sites, loaded.days, loaded.decoys.count) == (11, 2, 3, 2)
     assert type(loaded.seed) is int and type(loaded.metrics[0].daily_profile[1]) is float
+
+
+_SPEC_EVENT = {"venue": "V", "start": "2017-03-02T10:00:00Z", "duration_hours": 2.0,
+               "amplitudes": {"NUM_DROPS": 1.0}, "anchor_site": 0}
+
+
+@pytest.mark.parametrize("keys", [
+    ("seed",), ("n_sites",), ("days",), ("metrics", 0, "name"), ("metrics", 0, "daily_profile"),
+    ("injected_events", 0, "venue"), ("injected_events", 0, "start"),
+], ids=lambda keys: keys[-1])
+def test_simulate_spec_missing_key_exits_1_naming_it(tmp_path, capsys, keys):
+    spec = {
+        "seed": 11, "n_sites": 2, "area": [36.6, 36.8, -4.6, -4.4], "days": 3,
+        "metrics": [{"name": "NUM_DROPS", "daily_profile": list(range(24))}],
+        "injected_events": [dict(_SPEC_EVENT)],
+    }
+    section = spec
+    for key in keys[:-1]:
+        section = section[key]
+    del section[keys[-1]]
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps(spec))
+    assert main(["simulate", "--spec", str(spec_path), "--out", str(tmp_path / "out")]) == 1
+    assert f"missing key '{keys[-1]}'" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+def test_simulate_spec_optional_event_keys_may_be_null(tmp_path):
+    spec = {
+        "seed": 11, "n_sites": 2, "area": [36.6, 36.8, -4.6, -4.4], "days": 3,
+        "metrics": [{"name": "NUM_DROPS", "daily_profile": list(range(24))}],
+        "injected_events": [dict(_SPEC_EVENT, lat=None, lon=None, category=None, cells=None)],
+    }
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps(spec))
+    [event] = load_scenario_spec(spec_path).injected
+    assert (event.lat, event.lon, event.category, event.cells) == (None, None, None, "auto")
 
 
 def test_simulate_invalid_spec(tmp_path):
@@ -295,6 +333,37 @@ def test_config_of_required_keys_only_takes_each_receivers_defaults(tmp_path):
     assert config.r_threshold == DEFAULT_R_THRESHOLD
     assert (config.metrics, config.aggregate_stat, config.normalization) == ([], "mean", "auto")
     assert config.geocoder is config.topology_path is config.kpi_path is config.output_dir is None
+
+
+@pytest.mark.parametrize("keys, context", [
+    (("sources", 0, "source_id"), "source"),
+    (("sources", 0, "locator"), "source"),
+    (("sources", 0, "field_map"), "source"),
+    (("filter", "time", "start"), "filter.time"),
+    (("filter", "time", "end"), "filter.time"),
+], ids=lambda v: v[-1] if isinstance(v, tuple) else v)
+def test_config_missing_required_key_exits_1_naming_it(t1_dir, tmp_path, capsys, keys, context):
+    config = json.loads((t1_dir / "config.json").read_text())
+    config["paths"] = {}
+    section = config
+    for key in keys[:-1]:
+        section = section[key]
+    del section[keys[-1]]
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    assert main(["ingest", "--config", str(path), "--out", str(tmp_path / "out")]) == 1
+    assert f"{context}: missing key '{keys[-1]}'" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_config_categorical_parts_may_be_null(tmp_path):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({
+        "sources": [],
+        "filter": {"geo": {"categorical": {"country": "Spain", "region": None, "city": None}},
+                   "time": {"start": "2017-03-01T00:00:00Z", "end": "2017-04-01T00:00:00Z"}},
+    }))
+    assert load_config(path).filter.geo.categorical == CategoricalScope(country="Spain")
 
 
 def _assert_config_value_refused(t1_dir, tmp_path, capsys, keys, value):
