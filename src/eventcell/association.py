@@ -23,7 +23,7 @@ from typing import Iterator, Mapping, Optional, Sequence
 
 import numpy as np
 
-from .config import AGGREGATE_STATS, DEFAULT_R_THRESHOLD, EawParams, GeoAssocParams
+from .config import AGGREGATE_STATS, DEFAULT_R_THRESHOLD, EawParams, GeoAssocParams, RunConfig
 from .errors import (
     ConfigError,
     DegenerateGeometry,
@@ -232,9 +232,9 @@ def filter_by_bearing(
 def build_eaw(
     event: SocialEvent,
     series: KpiSeries,
-    pre_margin: int = 1,
-    post_margin: int = 1,
-    default_duration: timedelta = timedelta(hours=3),
+    pre_margin: int = EawParams.pre_margin,
+    post_margin: int = EawParams.post_margin,
+    default_duration: timedelta = EawParams.default_duration,
 ) -> Eaw:
     """Window of samples surrounding the event on this series' grid.
 
@@ -339,7 +339,7 @@ def correlate_event(
 def aggregate_venue(
     venue_key: str,
     correlations: Sequence[EventCellCorrelation],
-    stat: str = "mean",
+    stat: str = RunConfig.aggregate_stat,
 ) -> list[VenueImpactReport]:
     """Aggregate |r| per (cell, metric) group for one venue.
 
@@ -419,8 +419,8 @@ def identify_causes(
     params: Optional[GeoAssocParams] = None,
     r_threshold: float = DEFAULT_R_THRESHOLD,
     eaw_params: Optional[EawParams] = None,
-    stat: str = "mean",
-    normalization: str = "auto",
+    stat: str = RunConfig.aggregate_stat,
+    normalization: str = RunConfig.normalization,
 ) -> list[CauseCandidate]:
     """Rank candidate venues behind a degradation of ``degraded_cell``.
 

@@ -308,7 +308,8 @@ def cmd_ingest(config_path: str, out: Optional[str]):
         raise SourceUnreachable("all", "every configured source failed")
 
     if config.geocoder is not None:
-        consolidated = [ingest.consolidate(e, config.geocoder) for e in parsed]
+        geocoder = ingest.MemoGeocoder(config.geocoder)
+        consolidated = [ingest.consolidate(e, geocoder) for e in parsed]
     else:
         consolidated = parsed
 

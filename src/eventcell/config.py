@@ -239,10 +239,8 @@ def load_config(path: str | Path) -> RunConfig:
             for name in durations}, **eaw_fields)
 
         fusion_raw = _typed(raw, "fusion", context, dict, {})
-        name_threshold = _typed(fusion_raw, "name_threshold", "fusion", float,
-                                ingest.DEFAULT_NAME_THRESHOLD)
-        if not 0.0 <= name_threshold <= 1.0:
-            raise ConfigError(f"fusion.name_threshold {name_threshold} outside [0, 1]")
+        name_threshold = ingest.check_name_threshold(_typed(
+            fusion_raw, "name_threshold", "fusion", float, ingest.DEFAULT_NAME_THRESHOLD))
         tolerance_minutes = _typed(fusion_raw, "time_tolerance_minutes", "fusion", float,
                                    ingest.DEFAULT_TIME_TOLERANCE / timedelta(minutes=1))
         if not 0.0 <= tolerance_minutes < math.inf:

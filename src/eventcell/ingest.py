@@ -302,6 +302,21 @@ class HttpGeocoder:
         return float(payload["lat"]), float(payload["lon"]), str(payload.get("normalized_address", query))
 
 
+class MemoGeocoder:
+    """Sends each distinct query to ``geocoder`` once and repeats its answer,
+    a miss (None) included. Many events share a venue or an address, so an
+    ingest run wraps its geocoder in one."""
+
+    def __init__(self, geocoder: GeocoderClient):
+        self._geocoder = geocoder
+        self._answers: dict[str, Optional[tuple[float, float, str]]] = {}
+
+    def resolve(self, query: str) -> Optional[tuple[float, float, str]]:
+        if query not in self._answers:
+            self._answers[query] = self._geocoder.resolve(query)
+        return self._answers[query]
+
+
 # ---------------------------------------------------------------------------
 # Fetching and parsing
 # ---------------------------------------------------------------------------
@@ -504,42 +519,63 @@ def normalize_text(text: str) -> str:
     return " ".join(cleaned.split())
 
 
-def _bounded_levenshtein(a: str, b: str, k: int) -> int:
-    """Edit distance of ``a`` and ``b`` when it is at most ``k``, else ``k + 1``.
+def _char_masks(pattern: str) -> dict[str, int]:
+    """Bit ``i`` of ``masks[ch]`` is set where ``pattern[i] == ch``."""
+    masks: dict[str, int] = {}
+    bit = 1
+    for ch in pattern:
+        masks[ch] = masks.get(ch, 0) | bit
+        bit <<= 1
+    return masks
 
-    Only the diagonal band ``|i - j| <= k`` is filled: a path of cost <= k
-    never leaves it. Cells outside the band count as ``k + 1``, and the fill
-    stops once a whole row of the band exceeds ``k``.
+
+def _masked_levenshtein(masks: Mapping[str, int], m: int, text: str, k: int) -> int:
+    """Edit distance of ``text`` and the ``m``-character pattern whose
+    ``_char_masks`` are ``masks`` when it is at most ``k``, else ``k + 1``.
+
+    Bit-parallel over Python ints (Myers 1999, in Hyyrö's 2001 edit-distance
+    form): bit ``i`` of ``vp``/``vn`` says that the distance of the pattern's
+    first ``i + 1`` characters to the text read so far is one more/less than
+    that of its first ``i``, and ``score`` is the whole pattern's distance.
+    One text character costs about twenty operations on ``m``-bit ints,
+    where a dynamic-programming row costs ``m`` cell updates. ``score``
+    falls by at most one per text character, so the fill stops once it
+    exceeds ``k`` by more than the characters left.
     """
-    if len(a) < len(b):
-        a, b = b, a
-    n, m = len(a), len(b)
+    n = len(text)
     over = k + 1
-    if n - m > k:
+    if abs(n - m) > k:
         return over
     if not m:
         return n
-    previous = [j if j <= k else over for j in range(m + 1)]
-    current = [over] * (m + 1)
-    for i in range(1, n + 1):
-        ch_a = a[i - 1]
-        lo = i - k if i > k else 1
-        hi = i + k if i + k < m else m
-        left = current[lo - 1] = i if lo == 1 else over
-        row_min = over
-        for j in range(lo, hi + 1):
-            value = previous[j - 1] + (ch_a != b[j - 1])
-            if previous[j] < value:
-                value = previous[j] + 1
-            if left < value:
-                value = left + 1
-            current[j] = left = value
-            if value < row_min:
-                row_min = value
-        if row_min > k:
+    full = (1 << m) - 1
+    top = 1 << (m - 1)
+    vp, vn, score = full, 0, m
+    left = n
+    for ch in text:
+        eq = masks.get(ch, 0)
+        xv = eq | vn
+        xh = (((eq & vp) + vp) ^ vp) | eq
+        hp = vn | ~(xh | vp)
+        hn = vp & xh
+        if hp & top:
+            score += 1
+        elif hn & top:
+            score -= 1
+        left -= 1
+        if score - left > k:
             return over
-        previous, current = current, previous
-    return min(previous[m], over)
+        hp = (hp << 1) | 1
+        hn <<= 1
+        # No bit above m reaches a lower one; the mask only keeps the ints short.
+        vp = (hn | ~(xv | hp)) & full
+        vn = hp & xv
+    return score
+
+
+def _bounded_levenshtein(a: str, b: str, k: int) -> int:
+    """Edit distance of ``a`` and ``b`` when it is at most ``k``, else ``k + 1``."""
+    return _masked_levenshtein(_char_masks(a), len(a), b, k)
 
 
 def similarity(a: str, b: str) -> float:
@@ -549,6 +585,13 @@ def similarity(a: str, b: str) -> float:
         return 1.0
     longest = max(len(a), len(b))
     return 1.0 - _bounded_levenshtein(a, b, longest) / longest
+
+
+def check_name_threshold(name_threshold: float) -> float:
+    """``name_threshold``, which must lie in [0, 1] (NaN does not)."""
+    if not 0.0 <= name_threshold <= 1.0:
+        raise ConfigError(f"fusion.name_threshold {name_threshold} outside [0, 1]")
+    return name_threshold
 
 
 # Fields merged value-by-value during fusion, in serialization order.
@@ -572,8 +615,7 @@ def fuse_sources(
     for sources not listed), falling back to the first non-absent value;
     conflicting values are noted on the merged record.
     """
-    if not 0.0 <= name_threshold <= 1.0:
-        raise ConfigError(f"fusion name threshold {name_threshold} outside [0, 1]")
+    check_name_threshold(name_threshold)
     if not events:
         return []
     priorities = dict(priorities or {})
@@ -596,15 +638,22 @@ def fuse_sources(
             parent[rj] = ri
 
     for i in range(len(order)):
+        a = names[i]
+        masks = None  # a's, built on its first non-identical comparison
         for j in range(i + 1, len(order)):
             if order[j].start_time - order[i].start_time > time_tolerance:
                 break
-            a, b = names[i], names[j]
+            b = names[j]
+            if a == b:
+                union(i, j)
+                continue
+            if masks is None:
+                masks = _char_masks(a)
             longest = max(len(a), len(b))
             # Every distance that can pass the similarity test is at most k,
             # so the bounded distance is exact wherever the test decides.
             k = int(slack * longest) + 1
-            if a == b or 1.0 - _bounded_levenshtein(a, b, k) / longest >= name_threshold:
+            if 1.0 - _masked_levenshtein(masks, len(a), b, k) / longest >= name_threshold:
                 union(i, j)
 
     groups: dict[int, list[SocialEvent]] = {}

@@ -14,11 +14,11 @@ from eventcell import association, cli, network
 from eventcell.cli import _association_texts, _json_text, _write_json_report, main
 from eventcell.config import (DEFAULT_R_THRESHOLD, EawParams, GeoAssocParams, load_config,
                               load_scenario_spec)
-from eventcell.errors import DegenerateGeometry, InvariantError
+from eventcell.errors import ConfigError, DegenerateGeometry, InvariantError
 from eventcell.filtering import FilterConfig
 from eventcell.ingest import (DEFAULT_NAME_THRESHOLD, DEFAULT_TIME_TOLERANCE, Address,
-                              CategoricalScope, SourceConfig, address_record, read_events,
-                              write_events)
+                              CategoricalScope, SourceConfig, address_record, fuse_sources,
+                              read_events, write_events)
 from eventcell.network import MAX_SERIES_SAMPLES, Cell, Site, load_kpis, periodic_kind
 from eventcell.timeutil import format_rfc3339
 
@@ -253,6 +253,15 @@ def test_bad_config_number_exits_1(t1_dir, tmp_path, capsys, section, values):
     assert main(["ingest", "--config", path]) == 1
     assert "error:" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+def test_config_and_fusion_reject_a_threshold_in_the_same_words(t1_dir, tmp_path):
+    path = _t1_config_with(t1_dir, tmp_path, "fusion", {"name_threshold": 1.5})
+    with pytest.raises(ConfigError) as at_load:
+        load_config(path)
+    with pytest.raises(ConfigError) as at_fusion:
+        fuse_sources([make_event()], name_threshold=1.5)
+    assert str(at_load.value) == str(at_fusion.value) == "fusion.name_threshold 1.5 outside [0, 1]"
 
 
 @pytest.mark.parametrize("values", [

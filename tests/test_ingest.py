@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import threading
+from collections import Counter
 from dataclasses import dataclass, replace
 from datetime import datetime, timedelta
 from http.server import BaseHTTPRequestHandler, HTTPServer
@@ -38,6 +39,7 @@ from eventcell.ingest import (
     GeoScope,
     CategoricalScope,
     HttpGeocoder,
+    MemoGeocoder,
     SocialEvent,
     SourceConfig,
     TimeScope,
@@ -267,6 +269,34 @@ def test_consolidate_unresolvable_unchanged(caplog):
     assert any("geocoding failed" in r.message for r in caplog.records)
 
 
+class _CountingGeocoder:
+    def __init__(self, geocoder):
+        self.geocoder = geocoder
+        self.calls = Counter()
+
+    def resolve(self, query):
+        self.calls[query] += 1
+        return self.geocoder.resolve(query)
+
+
+def test_memo_geocoder_sends_each_distinct_query_once():
+    events = [
+        make_event(raw_id="1", lat=None, lon=None, address=Address(text="Av. X 1, Malaga")),
+        make_event(raw_id="2", lat=None, lon=None, venue="Av. X 1, Malaga"),
+        # a miss, then a hit on the venue; both repeat below
+        make_event(raw_id="3", lat=None, lon=None, address=Address(text="nowhere"),
+                   venue="Av. X 1, Malaga"),
+        make_event(raw_id="4", lat=None, lon=None, address=Address(text="nowhere")),
+        make_event(raw_id="5", lat=None, lon=None, address=Address(text="nowhere"),
+                   venue="Av. X 1, Malaga"),
+        make_event(raw_id="6", address=Address(text="elsewhere")),  # has coordinates: not asked
+    ]
+    counting = _CountingGeocoder(STUB)
+    memo = MemoGeocoder(counting)
+    assert [consolidate(e, memo) for e in events] == [consolidate(e, STUB) for e in events]
+    assert counting.calls == Counter({"Av. X 1, Malaga": 1, "nowhere": 1})
+
+
 def test_fixture_geocoder_from_csv(tmp_path):
     table = tmp_path / "geo.csv"
     table.write_text('query,lat,lon,normalized_address\n"Av. X 1, Malaga",36.72,-4.42,"Avenida X 1"\n')
@@ -419,9 +449,26 @@ def _levenshtein(a: str, b: str) -> int:
 
 @st.composite
 def _strings_and_cutoff(draw):
-    alphabet = draw(st.sampled_from(["ab", "abc ", None]))  # None: any unicode
-    text = st.text(alphabet=alphabet, max_size=24) if alphabet else st.text(max_size=24)
-    a, b = draw(text), draw(text)
+    """Two strings and a cutoff. Lengths reach 130 characters, so the first
+    string's bit masks span one to five 30-bit digits of a CPython int; half
+    the time the second string is the first with one stretch rewritten, so
+    long pairs do not all differ in length by more than the cutoff."""
+    # a combining acute and an astral guitar in a small alphabet, so they repeat;
+    # None: any unicode
+    alphabet = draw(st.sampled_from(["ab", "abc ", "ae\u0301\U0001f3b8", None]))
+
+    def text(min_size=0, max_size=8):
+        return st.text(alphabet=alphabet, min_size=min_size, max_size=max_size) \
+            if alphabet else st.text(min_size=min_size, max_size=max_size)
+
+    sizes = draw(st.sampled_from([(0, 24), (25, 64), (65, 130)]))
+    a = draw(text(*sizes))
+    if draw(st.booleans()):
+        i = draw(st.integers(0, len(a)))
+        j = draw(st.integers(i, min(len(a), i + 8)))
+        b = a[:i] + draw(text()) + a[j:]
+    else:
+        b = draw(text(*sizes))
     return a, b, draw(st.integers(0, max(len(a), len(b)) + 2))
 
 
@@ -494,9 +541,26 @@ def test_fuse_matches_full_distance_oracle(case):
     assert fuse_sources(events, name_threshold=threshold) == _oracle_fusion(events, threshold)
 
 
+def test_fuse_long_names_match_full_distance_oracle():
+    """Names of 70 characters, whose bit masks are wider than a 64-bit word.
+    At 0.9, 7 edits of 70 sit exactly on the threshold and 8 fall below it."""
+    base = "festival internacional de musica y artes escenicas de la costa del sol"
+    assert len(base) == 70
+
+    def edited(n, offset):  # n substitutions, 9 apart
+        return "".join("x" if i % 9 == offset and i // 9 < n else ch for i, ch in enumerate(base))
+
+    names = [base, edited(7, 0), edited(8, 4), base[:-1], base.upper() + "!"]
+    events = [make_event(raw_id=str(i), source_id=f"s{i}", name=name,
+                         start=T0 + timedelta(minutes=5 * i)) for i, name in enumerate(names)]
+    fused = fuse_sources(events, name_threshold=0.9)
+    assert fused == _oracle_fusion(events, 0.9)
+    assert sorted(len(e.merge_notes) > 0 for e in fused) == [False, True]  # edited(8) alone
+
+
 @pytest.mark.parametrize("threshold", [-0.1, 1.5, float("nan")])
 def test_fuse_rejects_threshold_outside_unit_interval(threshold):
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match=r"^fusion\.name_threshold .* outside \[0, 1\]$"):
         fuse_sources([make_event()], name_threshold=threshold)
 
 
