@@ -25,10 +25,12 @@ def atomic_write_text(path: str | Path, text: str) -> None:
         raise
 
 
-def undecodable(path: str | Path) -> str:
+def undecodable(path: str | Path, data: bytes | None = None) -> str:
     """Describe a file that failed to decode as UTF-8: its path and the line
-    (counted by newlines) that holds its first bad byte."""
-    data = Path(path).read_bytes()
+    (counted by newlines) that holds its first bad byte. ``data`` is its
+    content when the caller holds it whole; otherwise the file is read again."""
+    if data is None:
+        data = Path(path).read_bytes()
     try:
         data.decode("utf-8")
     except UnicodeDecodeError as exc:

@@ -281,25 +281,45 @@ class FixtureGeocoder:
 
 
 class HttpGeocoder:
-    """Client for a JSON geocoding endpoint: GET ?q=<query> -> {lat, lon, normalized_address}."""
+    """Client for a JSON geocoding endpoint: GET ?q=<query> -> {lat, lon, normalized_address}.
+
+    A failed request, and an answer whose ``lat`` or ``lon`` is a boolean or
+    not a finite number or numeric string, log a warning and resolve to None.
+    When ``normalized_address`` is not a string (null or absent) the query
+    stands in.
+    """
 
     def __init__(self, endpoint: str, timeout: float = 10.0):
         self.endpoint = endpoint
         self.timeout = timeout
 
     def resolve(self, query: str) -> Optional[tuple[float, float, str]]:
-        import requests  # imported on first use: it is slow to import and only HTTP needs it
-
         try:
-            response = requests.get(self.endpoint, params={"q": query}, timeout=self.timeout)
-            response.raise_for_status()
-            payload = response.json()
-        except (requests.RequestException, ValueError) as exc:
+            payload = json.loads(_http_get(self.endpoint, {"q": query}, self.timeout))
+        except (OSError, ValueError) as exc:  # ValueError: a body that is not UTF-8 or not JSON
             logger.warning("geocoder request failed for %r: %s", query, exc)
             return None
         if not isinstance(payload, dict) or payload.get("lat") is None or payload.get("lon") is None:
             return None
-        return float(payload["lat"]), float(payload["lon"]), str(payload.get("normalized_address", query))
+        lat, lon = _coordinate(payload["lat"]), _coordinate(payload["lon"])
+        if lat is None or lon is None:
+            logger.warning("geocoder answer for %r has no usable coordinates: lat %r, lon %r",
+                           query, payload["lat"], payload["lon"])
+            return None
+        normalized = payload.get("normalized_address")
+        return lat, lon, normalized if isinstance(normalized, str) else query
+
+
+def _coordinate(value) -> Optional[float]:
+    """``value`` as a finite float, or None for a boolean, a value that
+    ``float`` cannot read and a non-finite one."""
+    if isinstance(value, bool):
+        return None
+    try:
+        number = float(value)
+    except (TypeError, ValueError, OverflowError):  # OverflowError: an int beyond float range
+        return None
+    return number if math.isfinite(number) else None
 
 
 class MemoGeocoder:
@@ -336,8 +356,6 @@ def fetch_raw(source: SourceConfig, geo: GeoScope, time: TimeScope) -> list[dict
             raise MalformedPayload(
                 f"source '{source.source_id}': {undecodable(source.locator)}") from None
     else:
-        import requests  # see HttpGeocoder.resolve
-
         params: dict[str, str] = {}
         if geo.categorical is not None:
             for key in ("country", "region", "city"):
@@ -347,12 +365,39 @@ def fetch_raw(source: SourceConfig, geo: GeoScope, time: TimeScope) -> list[dict
         params["start"] = format_rfc3339(time.start)
         params["end"] = format_rfc3339(time.end)
         try:
-            response = requests.get(source.locator, params=params, timeout=30)
-            response.raise_for_status()
-            text = response.text
-        except requests.RequestException as exc:
+            text = _http_get(source.locator, params, timeout=30)
+        except OSError as exc:
             raise SourceUnreachable(source.source_id, str(exc)) from exc
+        except UnicodeDecodeError as exc:
+            raise MalformedPayload(
+                f"source '{source.source_id}': {undecodable(source.locator, exc.object)}") from None
     return _decode_records(text, source)
+
+
+def _http_get(url: str, params: Mapping[str, str], timeout: float) -> str:
+    """The body of a 2xx answer to one GET of ``url``, with ``params``
+    URL-encoded and appended to its query, decoded as UTF-8.
+
+    Any other status, a URL that is not http or https, and every transport
+    failure (a refused or timed-out connection, a body cut short) raise
+    ``OSError``; a body that is not UTF-8 raises ``UnicodeDecodeError``.
+    The request is sent once, with no retry.
+    """
+    import http.client
+    import urllib.request  # imported on first use: it is slow to import and only HTTP needs it
+    from urllib.parse import urlencode, urlsplit, urlunsplit
+
+    try:
+        parts = urlsplit(url)
+        if parts.scheme not in ("http", "https"):
+            raise OSError(f"{url!r} is not an http or https URL")
+        query = "&".join(filter(None, (parts.query, urlencode(params))))
+        with urllib.request.urlopen(urlunsplit(parts._replace(query=query)),
+                                    timeout=timeout) as response:
+            body = response.read()
+    except (http.client.HTTPException, ValueError) as exc:  # the rest are OSError already
+        raise OSError(str(exc)) from exc
+    return body.decode("utf-8")
 
 
 def _lines(text: str) -> list[str]:

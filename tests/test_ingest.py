@@ -11,6 +11,7 @@ from dataclasses import dataclass, replace
 from datetime import datetime, timedelta
 from http.server import BaseHTTPRequestHandler, HTTPServer
 from pathlib import Path
+from types import SimpleNamespace
 from typing import Optional
 
 import pytest
@@ -103,49 +104,140 @@ def test_fetch_csv(simple_source):
     assert [r["title"] for r in records] == ["Concert A", "Concert B"]
 
 
-class _FeedHandler(BaseHTTPRequestHandler):
-    payload = b""
-    last_query = None
-
-    def do_GET(self):
-        type(self).last_query = self.path
-        self.send_response(200)
-        self.send_header("Content-Type", "application/x-ndjson")
-        self.end_headers()
-        self.wfile.write(self.payload)
-
-    def log_message(self, *args):
-        pass
-
-
 @pytest.fixture
-def http_feed():
-    server = HTTPServer(("127.0.0.1", 0), _FeedHandler)
+def http_server():
+    """A loopback HTTP server that answers every GET with ``answer.status``
+    and ``answer.body``, declaring ``answer.length`` bytes when it is set
+    (more than it sends cuts the body short), and records each request's
+    path and query in ``answer.paths``."""
+    answer = SimpleNamespace(status=200, body=b"", length=None, paths=[])
+
+    class Handler(BaseHTTPRequestHandler):
+        def do_GET(self):
+            answer.paths.append(self.path)
+            self.send_response(answer.status)
+            length = len(answer.body) if answer.length is None else answer.length
+            self.send_header("Content-Length", str(length))
+            self.end_headers()
+            self.wfile.write(answer.body)
+
+        def log_message(self, *args):
+            pass
+
+    server = HTTPServer(("127.0.0.1", 0), Handler)
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
-    yield f"http://127.0.0.1:{server.server_port}/events"
+    answer.url = f"http://127.0.0.1:{server.server_port}"
+    yield answer
     server.shutdown()
+    server.server_close()
+    thread.join(timeout=10)
 
 
-def test_fetch_http(http_feed):
-    _FeedHandler.payload = json.dumps({"title": "Net Event", "when": "2017-03-01T20:00Z"}).encode()
-    source = SourceConfig(
-        source_id="web", kind="http", locator=http_feed, format="json_records",
-        field_map={"title": "NAME", "when": "START_TIME"},
-    )
-    records = fetch_raw(source, ANY_GEO, ANY_TIME)
+def _http_source(locator):
+    return SourceConfig(source_id="web", kind="http", locator=locator, format="json_records",
+                        field_map={"title": "NAME", "when": "START_TIME", "place": "VENUE"})
+
+
+def test_fetch_http(http_server):
+    http_server.body = json.dumps({"title": "Net Event", "when": "2017-03-01T20:00Z"}).encode()
+    records = fetch_raw(_http_source(f"{http_server.url}/events"), ANY_GEO, ANY_TIME)
     assert records == [{"title": "Net Event", "when": "2017-03-01T20:00Z"}]
-    assert "city=Malaga" in _FeedHandler.last_query
-    assert "start=" in _FeedHandler.last_query
+    assert http_server.paths == [
+        "/events?city=Malaga&start=2017-03-01T00%3A00%3A00Z&end=2017-04-24T00%3A00%3A00Z"]
 
 
 def test_fetch_http_unreachable():
-    source = SourceConfig(
-        source_id="web", kind="http", locator="http://127.0.0.1:1/events",
-        format="json_records", field_map={"title": "NAME", "when": "START_TIME"},
-    )
-    with pytest.raises(SourceUnreachable):
-        fetch_raw(source, ANY_GEO, ANY_TIME)
+    with pytest.raises(SourceUnreachable, match="Connection refused"):
+        fetch_raw(_http_source("http://127.0.0.1:1/events"), ANY_GEO, ANY_TIME)
+
+
+def test_http_get_appends_the_encoded_query_to_the_one_in_the_url(http_server):
+    http_server.body = b"[]"
+    geo = GeoScope(categorical=CategoricalScope(city="Málaga"))
+    assert fetch_raw(_http_source(f"{http_server.url}/events?k=1"), geo, ANY_TIME) == []
+    http_server.body = json.dumps({"lat": 36.72, "lon": -4.42}).encode()
+    HttpGeocoder(f"{http_server.url}/geocode").resolve("Av. X 1, Málaga")
+    assert http_server.paths == [
+        "/events?k=1&city=M%C3%A1laga&start=2017-03-01T00%3A00%3A00Z&end=2017-04-24T00%3A00%3A00Z",
+        "/geocode?q=Av.+X+1%2C+M%C3%A1laga",
+    ]
+
+
+@pytest.mark.parametrize("status", [404, 503])
+def test_http_error_status_is_a_failure_on_both_paths(http_server, status, caplog):
+    http_server.status = status
+    http_server.body = json.dumps({"lat": 36.72, "lon": -4.42}).encode()
+    with pytest.raises(SourceUnreachable, match=f"source 'web' unreachable: HTTP Error {status}"):
+        fetch_raw(_http_source(f"{http_server.url}/events"), ANY_GEO, ANY_TIME)
+    with caplog.at_level("WARNING", logger="eventcell.ingest"):
+        assert HttpGeocoder(f"{http_server.url}/geocode").resolve("Av. X 1") is None
+    assert f"HTTP Error {status}" in caplog.text
+
+
+def test_http_body_cut_short_is_a_failure_on_both_paths(http_server, caplog):
+    http_server.body = b'{"lat": 36.72, '
+    http_server.length = 100
+    with pytest.raises(SourceUnreachable, match="IncompleteRead"):
+        fetch_raw(_http_source(f"{http_server.url}/events"), ANY_GEO, ANY_TIME)
+    with caplog.at_level("WARNING", logger="eventcell.ingest"):
+        assert HttpGeocoder(f"{http_server.url}/geocode").resolve("Av. X 1") is None
+    assert "IncompleteRead" in caplog.text
+
+
+def test_http_feed_body_not_utf8_is_malformed(http_server):
+    http_server.body = b'{"title": "ok", "when": "2017-03-01T20:00Z"}\n{"title": "caf\xe9"}\n'
+    locator = f"{http_server.url}/events"
+    with pytest.raises(MalformedPayload, match=f"source 'web': {locator} line 2: not valid UTF-8"):
+        fetch_raw(_http_source(locator), ANY_GEO, ANY_TIME)
+
+
+def test_http_get_rejects_a_url_that_is_not_http():
+    with pytest.raises(SourceUnreachable, match="not an http or https URL"):
+        fetch_raw(_http_source("ftp://127.0.0.1:1/events"), ANY_GEO, ANY_TIME)
+
+
+def _http_config(tmp_path, locators, geocoder=None, feed=None):
+    """A run config over HTTP sources at ``locators`` and, when given, one
+    file source holding the ``feed`` records."""
+    sources = [{"source_id": f"web{i}", "kind": "http", "locator": locator,
+                "format": "json_records",
+                "field_map": {"title": "NAME", "when": "START_TIME", "place": "VENUE"}}
+               for i, locator in enumerate(locators)]
+    if feed is not None:
+        (tmp_path / "feed.ndjson").write_text("".join(json.dumps(r) + "\n" for r in feed))
+        sources.append({"source_id": "file", "kind": "file", "locator": "feed.ndjson",
+                        "format": "json_records",
+                        "field_map": {"title": "NAME", "when": "START_TIME", "place": "VENUE"}})
+    config = {
+        "sources": sources,
+        "geocoder": geocoder,
+        "filter": {"geo": {"box": [36.0, 37.0, -5.0, -4.0]},
+                   "time": {"start": "2017-03-01T00:00:00Z", "end": "2017-04-01T00:00:00Z"}},
+        "paths": {"output": "out"},
+    }
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    return str(path)
+
+
+def test_ingest_exits_1_when_an_http_feed_is_not_utf8(http_server, tmp_path, capsys):
+    from eventcell.cli import main
+
+    http_server.body = b'{"title": "caf\xe9", "when": "2017-03-01T20:00Z"}\n'
+    assert main(["ingest", "--config", _http_config(tmp_path, [f"{http_server.url}/e"])]) == 1
+    assert "source 'web0'" in capsys.readouterr().err
+
+
+def test_ingest_exits_2_when_every_http_source_fails(http_server, tmp_path, capsys):
+    from eventcell.cli import main
+
+    http_server.status = 503
+    config = _http_config(tmp_path, [f"{http_server.url}/a", "http://127.0.0.1:1/b"])
+    assert main(["ingest", "--config", config]) == 2
+    err = capsys.readouterr().err
+    assert "source 'web0' unreachable: HTTP Error 503" in err
+    assert "source 'web1' unreachable" in err and "every configured source failed" in err
 
 
 # ---------------------------------------------------------------------------
@@ -305,25 +397,11 @@ def test_fixture_geocoder_from_csv(tmp_path):
     assert geocoder.resolve("unknown") is None
 
 
-class _GeoHandler(BaseHTTPRequestHandler):
-    def do_GET(self):
-        self.send_response(200)
-        self.send_header("Content-Type", "application/json")
-        self.end_headers()
-        self.wfile.write(json.dumps({"lat": 36.72, "lon": -4.42, "normalized_address": "Avenida X 1"}).encode())
-
-    def log_message(self, *args):
-        pass
-
-
-def test_http_geocoder():
-    server = HTTPServer(("127.0.0.1", 0), _GeoHandler)
-    threading.Thread(target=server.serve_forever, daemon=True).start()
-    try:
-        client = HttpGeocoder(f"http://127.0.0.1:{server.server_port}/geocode")
-        assert client.resolve("Av. X 1") == (36.72, -4.42, "Avenida X 1")
-    finally:
-        server.shutdown()
+def test_http_geocoder(http_server):
+    http_server.body = json.dumps(
+        {"lat": 36.72, "lon": -4.42, "normalized_address": "Avenida X 1"}).encode()
+    client = HttpGeocoder(f"{http_server.url}/geocode")
+    assert client.resolve("Av. X 1") == (36.72, -4.42, "Avenida X 1")
 
 
 def test_http_geocoder_failure_is_none():
@@ -331,10 +409,62 @@ def test_http_geocoder_failure_is_none():
     assert client.resolve("anything") is None
 
 
+@pytest.mark.parametrize("answer, resolved", [
+    ({"lat": 36.7, "lon": -4.4, "normalized_address": None}, (36.7, -4.4, "Av. X 1")),
+    ({"lat": 36.7, "lon": -4.4}, (36.7, -4.4, "Av. X 1")),
+    ({"lat": "36.72", "lon": " -4.42", "normalized_address": "Avenida X 1"},
+     (36.72, -4.42, "Avenida X 1")),
+    ({"lat": 36, "lon": -4}, (36.0, -4.0, "Av. X 1")),
+])
+def test_http_geocoder_reads_numbers_and_numeric_strings(http_server, answer, resolved):
+    http_server.body = json.dumps(answer).encode()
+    assert HttpGeocoder(f"{http_server.url}/geocode").resolve("Av. X 1") == resolved
 
-def test_importing_the_cli_leaves_requests_unloaded(tmp_path):
+
+@pytest.mark.parametrize("body", [
+    b'{"lat": "abc", "lon": -4.4}',
+    b'{"lat": [1], "lon": -4.4}',
+    b'{"lat": 36.7, "lon": {}}',
+    b'{"lat": true, "lon": -4.4}',
+    b'{"lat": 36.7, "lon": NaN}',
+    b'{"lat": "inf", "lon": -4.4}',
+    b'{"lat": 1e400, "lon": -4.4}',
+    b'{"lat": 1' + b"0" * 400 + b', "lon": -4.4}',
+], ids=["unreadable", "array", "object", "boolean", "nan", "inf-string", "float-overflow",
+        "int-overflow"])
+def test_http_geocoder_unusable_coordinates_are_a_failed_lookup(http_server, body, caplog):
+    http_server.body = body
+    with caplog.at_level("WARNING", logger="eventcell.ingest"):
+        assert HttpGeocoder(f"{http_server.url}/geocode").resolve("Av. X 1") is None
+    assert "no usable coordinates" in caplog.text
+
+
+@pytest.mark.parametrize("body", [b"[36.7, -4.4]", b"{}", b'{"lat": null, "lon": -4.4}'])
+def test_http_geocoder_answer_without_coordinates_is_a_miss(http_server, body, caplog):
+    http_server.body = body
+    with caplog.at_level("WARNING", logger="eventcell.ingest"):
+        assert HttpGeocoder(f"{http_server.url}/geocode").resolve("Av. X 1") is None
+    assert not caplog.records
+
+
+def test_ingest_survives_a_malformed_geocoder_answer(http_server, tmp_path, capsys):
+    from eventcell.cli import main
+
+    http_server.body = b'{"lat": "abc", "lon": -4.4}'
+    feed = [{"title": "Gig", "when": "2017-03-02T20:00Z", "place": "Sala X"}]
+    config = _http_config(tmp_path, [], geocoder={"kind": "http", "endpoint": http_server.url},
+                          feed=feed)
+    assert main(["ingest", "--config", config]) == 0
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.err and "fused: 1" in captured.out
+    assert http_server.paths == ["/?q=Sala+X"]
+    [record] = map(json.loads, (tmp_path / "out" / "events.ndjson").read_text().splitlines())
+    assert "LAT" not in record and record["VENUE"] == "Sala X"
+
+
+def test_importing_the_cli_leaves_urllib_request_unloaded(tmp_path):
     """A CLI start, reading the config and a whole ingest + filter run load
-    neither numpy nor the layers that need it, nor requests."""
+    neither numpy nor the layers that need it, nor the HTTP client."""
     import eventcell
     from eventcell.cli import main
 
@@ -343,7 +473,7 @@ def test_importing_the_cli_leaves_requests_unloaded(tmp_path):
     env["PYTHONPATH"] = os.pathsep.join(
         [str(Path(eventcell.__file__).parents[1]), env.get("PYTHONPATH", "")])
     unloaded = ["numpy", "eventcell.association", "eventcell.network", "eventcell.scenario",
-                "requests", "urllib3"]
+                "urllib.request", "http.client"]
     config = str(tmp_path / "config.json")
     code = ("import sys, eventcell.cli as cli\n"
             "loaded = [set(sys.modules)]\n"
@@ -357,56 +487,6 @@ def test_importing_the_cli_leaves_requests_unloaded(tmp_path):
                             text=True, check=True, timeout=120)
     assert result.stdout.strip().splitlines()[-1] == "[[], [], []]"
 
-
-class _FakeResponse:
-    def __init__(self, payload):
-        self.payload = payload
-        self.text = json.dumps(payload)
-
-    def raise_for_status(self):
-        pass
-
-    def json(self):
-        return self.payload
-
-
-def test_http_paths_call_requests_get(monkeypatch):
-    import requests
-
-    calls = []
-
-    def fake_get(url, params, timeout):
-        calls.append((url, params))
-        if url.endswith("/geocode"):
-            return _FakeResponse({"lat": 36.72, "lon": -4.42, "normalized_address": "Avenida X 1"})
-        return _FakeResponse({"title": "Net Event", "when": "2017-03-01T20:00Z"})
-
-    monkeypatch.setattr(requests, "get", fake_get)
-    assert HttpGeocoder("http://127.0.0.1:9/geocode").resolve("Av. X 1") == (
-        36.72, -4.42, "Avenida X 1")
-    source = SourceConfig(
-        source_id="web", kind="http", locator="http://127.0.0.1:9/events",
-        format="json_records", field_map={"title": "NAME", "when": "START_TIME"},
-    )
-    assert fetch_raw(source, ANY_GEO, ANY_TIME) == [{"title": "Net Event", "when": "2017-03-01T20:00Z"}]
-    assert calls[0] == ("http://127.0.0.1:9/geocode", {"q": "Av. X 1"})
-    assert calls[1][0] == "http://127.0.0.1:9/events" and calls[1][1]["city"] == "Malaga"
-
-
-def test_http_request_failures_map_to_typed_outcomes(monkeypatch):
-    import requests
-
-    def failing_get(url, params, timeout):
-        raise requests.ConnectionError("connection refused")
-
-    monkeypatch.setattr(requests, "get", failing_get)
-    assert HttpGeocoder("http://127.0.0.1:9/geocode").resolve("anything") is None
-    source = SourceConfig(
-        source_id="web", kind="http", locator="http://127.0.0.1:9/events",
-        format="json_records", field_map={"title": "NAME", "when": "START_TIME"},
-    )
-    with pytest.raises(SourceUnreachable, match="connection refused"):
-        fetch_raw(source, ANY_GEO, ANY_TIME)
 
 # ---------------------------------------------------------------------------
 # similarity
