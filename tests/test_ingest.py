@@ -847,6 +847,16 @@ class _OracleEvent:
         if self.popularity is not None and not 0.0 <= self.popularity < math.inf:
             raise InvariantError(f"{self.event_id}: popularity {self.popularity} is not a "
                                  "finite number >= 0")
+        texts = [self.event_id, self.name, self.source_id, self.raw_id, self.venue,
+                 self.category, *self.merge_notes]
+        if self.address is not None:
+            texts += [getattr(self.address, part) for part in
+                      ("street", "city", "region", "country", "text")]
+        try:
+            "".join(text for text in texts if text is not None).encode()
+        except UnicodeEncodeError:
+            raise InvariantError("a text field holds a lone surrogate, which UTF-8 cannot "
+                                 "encode") from None
 
 
 def _oracle_event_from_record(record, parse_time):
@@ -970,6 +980,8 @@ def _canonical_line(draw):
 @settings(max_examples=300, deadline=None)
 @example(lines=['{"EVENT_ID": "s/a", "NAME": "", "START_TIME": "2017-03-01T20:00:00Z", '
                 '"END_TIME": "soon", "RAW_ID": "a"}'], ends=["\n"] * 6, final=True)
+@example(lines=['{"EVENT_ID": "s/", "NAME": "", "START_TIME": "2017-03-01T20:00:00Z", '
+                '"SOURCE_ID": "s", "RAW_ID": "\\ud800"}'], ends=["\n"] * 6, final=False)
 @given(lines=st.lists(_canonical_line() | st.sampled_from(["", "  "]), max_size=6),
        ends=st.lists(st.sampled_from(["\n", "\r\n", "\r"]), min_size=6, max_size=6),
        final=st.booleans())
