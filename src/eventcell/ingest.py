@@ -16,6 +16,7 @@ import json
 import logging
 import math
 import unicodedata
+from bisect import bisect_right
 from dataclasses import dataclass, replace
 from datetime import datetime, timedelta, tzinfo
 from pathlib import Path
@@ -283,8 +284,9 @@ class FixtureGeocoder:
 class HttpGeocoder:
     """Client for a JSON geocoding endpoint: GET ?q=<query> -> {lat, lon, normalized_address}.
 
-    A failed request, and an answer whose ``lat`` or ``lon`` is a boolean or
-    not a finite number or numeric string, log a warning and resolve to None.
+    A failed request, and an answer whose ``lat`` or ``lon`` is a boolean,
+    not a finite number or numeric string, or out of range, log a warning
+    and resolve to None.
     When ``normalized_address`` is not a string (null or absent) the query
     stands in.
     """
@@ -302,7 +304,7 @@ class HttpGeocoder:
         if not isinstance(payload, dict) or payload.get("lat") is None or payload.get("lon") is None:
             return None
         lat, lon = _coordinate(payload["lat"]), _coordinate(payload["lon"])
-        if lat is None or lon is None:
+        if lat is None or lon is None or abs(lat) > 90.0 or abs(lon) > 180.0:
             logger.warning("geocoder answer for %r has no usable coordinates: lat %r, lon %r",
                            query, payload["lat"], payload["lon"])
             return None
@@ -556,8 +558,14 @@ def consolidate(event: SocialEvent, geocoder: GeocoderClient) -> SocialEvent:
 # String similarity and fusion
 # ---------------------------------------------------------------------------
 
+# Every ASCII character that is not a letter or a digit, mapped to a space.
+_ASCII_SEPARATORS = str.maketrans({chr(c): " " for c in range(128) if not chr(c).isalnum()})
+
+
 def normalize_text(text: str) -> str:
     """Lowercase, strip diacritics and punctuation, collapse whitespace."""
+    if text.isascii():  # NFKD leaves ASCII as it is, and no ASCII character is combining
+        return " ".join(text.lower().translate(_ASCII_SEPARATORS).split())
     decomposed = unicodedata.normalize("NFKD", text)
     no_marks = "".join(ch for ch in decomposed if not unicodedata.combining(ch))
     cleaned = "".join(ch if ch.isalnum() else " " for ch in no_marks.lower())
@@ -632,6 +640,14 @@ def similarity(a: str, b: str) -> float:
     return 1.0 - _bounded_levenshtein(a, b, longest) / longest
 
 
+def _pieces(text: str, k: int) -> list[str]:
+    """``text`` cut into ``k + 1`` contiguous pieces of near-equal length;
+    some are empty when ``text`` is shorter than ``k + 1``."""
+    q = k + 1
+    m = len(text)
+    return [text[t * m // q:(t + 1) * m // q] for t in range(q)]
+
+
 def check_name_threshold(name_threshold: float) -> float:
     """``name_threshold``, which must lie in [0, 1] (NaN does not)."""
     if not 0.0 <= name_threshold <= 1.0:
@@ -659,6 +675,14 @@ def fuse_sources(
     each field takes the value from the highest-priority source (priority 0
     for sources not listed), falling back to the first non-absent value;
     conflicting values are noted on the merged record.
+
+    Only pairs that can still reach the threshold get an edit distance. A
+    pair whose names differ in length by more than the bound ``k`` cannot,
+    and neither can one where no piece of the first name, cut into ``k + 1``
+    contiguous pieces, occurs in the second: each edit breaks at most one
+    piece, so within ``k`` edits one piece survives whole (Wu and Manber
+    1992). Both tests reject only distances above ``k``, which always fail
+    the similarity test, so they change no group.
     """
     check_name_threshold(name_threshold)
     if not events:
@@ -668,6 +692,12 @@ def fuse_sources(
 
     order = sorted(events, key=lambda e: (e.start_time, e.name, e.event_id))
     names = [normalize_text(e.name) for e in order]
+    # Start times as whole microseconds after the earliest one: a window's end
+    # is then an int, which no tolerance can push past the datetime range.
+    unit = timedelta(microseconds=1)
+    first = order[0].start_time
+    starts = [(e.start_time - first) // unit for e in order]
+    reach = time_tolerance // unit
 
     parent = list(range(len(order)))
 
@@ -684,21 +714,32 @@ def fuse_sources(
 
     for i in range(len(order)):
         a = names[i]
-        masks = None  # a's, built on its first non-identical comparison
-        for j in range(i + 1, len(order)):
-            if order[j].start_time - order[i].start_time > time_tolerance:
-                break
+        m = len(a)
+        masks = None  # a's, built on its first pair that passes the filters
+        pieces: dict[int, list[str]] = {}  # k -> a cut into k + 1 pieces
+        for j in range(i + 1, bisect_right(starts, starts[i] + reach, i + 1)):
             b = names[j]
             if a == b:
                 union(i, j)
                 continue
-            if masks is None:
-                masks = _char_masks(a)
-            longest = max(len(a), len(b))
+            n = len(b)
+            longest = m if m > n else n
             # Every distance that can pass the similarity test is at most k,
             # so the bounded distance is exact wherever the test decides.
             k = int(slack * longest) + 1
-            if 1.0 - _masked_levenshtein(masks, len(a), b, k) / longest >= name_threshold:
+            if abs(m - n) > k:
+                continue
+            cut = pieces.get(k)
+            if cut is None:
+                cut = pieces[k] = _pieces(a, k)
+            for piece in cut:
+                if piece in b:
+                    break
+            else:
+                continue
+            if masks is None:
+                masks = _char_masks(a)
+            if 1.0 - _masked_levenshtein(masks, m, b, k) / longest >= name_threshold:
                 union(i, j)
 
     groups: dict[int, list[SocialEvent]] = {}

@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import threading
+import unicodedata
 from collections import Counter
 from dataclasses import dataclass, replace
 from datetime import datetime, timedelta
@@ -34,11 +35,13 @@ from eventcell.ingest import (
     _decode_records,
     _json_type,
     _merge_group,
+    _pieces,
     Address,
     BoundingBox,
     FixtureGeocoder,
     GeoScope,
     CategoricalScope,
+    DEFAULT_TIME_TOLERANCE,
     HttpGeocoder,
     MemoGeocoder,
     SocialEvent,
@@ -208,7 +211,8 @@ def _http_config(tmp_path, locators, geocoder=None, feed=None):
         (tmp_path / "feed.ndjson").write_text("".join(json.dumps(r) + "\n" for r in feed))
         sources.append({"source_id": "file", "kind": "file", "locator": "feed.ndjson",
                         "format": "json_records",
-                        "field_map": {"title": "NAME", "when": "START_TIME", "place": "VENUE"}})
+                        "field_map": {"title": "NAME", "when": "START_TIME", "place": "VENUE",
+                                      "lat": "LAT", "lon": "LON"}})
     config = {
         "sources": sources,
         "geocoder": geocoder,
@@ -415,6 +419,7 @@ def test_http_geocoder_failure_is_none():
     ({"lat": "36.72", "lon": " -4.42", "normalized_address": "Avenida X 1"},
      (36.72, -4.42, "Avenida X 1")),
     ({"lat": 36, "lon": -4}, (36.0, -4.0, "Av. X 1")),
+    ({"lat": -90, "lon": "180"}, (-90.0, 180.0, "Av. X 1")),
 ])
 def test_http_geocoder_reads_numbers_and_numeric_strings(http_server, answer, resolved):
     http_server.body = json.dumps(answer).encode()
@@ -430,8 +435,11 @@ def test_http_geocoder_reads_numbers_and_numeric_strings(http_server, answer, re
     b'{"lat": "inf", "lon": -4.4}',
     b'{"lat": 1e400, "lon": -4.4}',
     b'{"lat": 1' + b"0" * 400 + b', "lon": -4.4}',
+    b'{"lat": 95.0, "lon": -4.4}',
+    b'{"lat": "-90.5", "lon": -4.4}',
+    b'{"lat": 36.7, "lon": 180.01}',
 ], ids=["unreadable", "array", "object", "boolean", "nan", "inf-string", "float-overflow",
-        "int-overflow"])
+        "int-overflow", "lat-above-90", "lat-string-below-90", "lon-above-180"])
 def test_http_geocoder_unusable_coordinates_are_a_failed_lookup(http_server, body, caplog):
     http_server.body = body
     with caplog.at_level("WARNING", logger="eventcell.ingest"):
@@ -460,6 +468,25 @@ def test_ingest_survives_a_malformed_geocoder_answer(http_server, tmp_path, caps
     assert http_server.paths == ["/?q=Sala+X"]
     [record] = map(json.loads, (tmp_path / "out" / "events.ndjson").read_text().splitlines())
     assert "LAT" not in record and record["VENUE"] == "Sala X"
+
+
+def test_ingest_survives_a_geocoder_answer_out_of_range(http_server, tmp_path, capsys):
+    from eventcell.cli import main
+
+    http_server.body = b'{"lat": 95.0, "lon": -4.4}'
+    feed = [{"title": "Gig", "when": "2017-03-02T20:00Z", "place": "Sala X"},
+            {"title": "Derby", "when": "2017-03-04T18:00Z", "place": "Stadium",
+             "lat": 36.73, "lon": -4.43}]
+    config = _http_config(tmp_path, [], geocoder={"kind": "http", "endpoint": http_server.url},
+                          feed=feed)
+    assert main(["ingest", "--config", config]) == 0
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.err and "fused: 2" in captured.out
+    assert http_server.paths == ["/?q=Sala+X"]
+    records = [json.loads(line)
+               for line in (tmp_path / "out" / "events.ndjson").read_text().splitlines()]
+    assert [(r["NAME"], r.get("LAT"), r.get("LON")) for r in records] == [
+        ("Gig", None, None), ("Derby", 36.73, -4.43)]
 
 
 def test_importing_the_cli_leaves_urllib_request_unloaded(tmp_path):
@@ -495,6 +522,35 @@ def test_importing_the_cli_leaves_urllib_request_unloaded(tmp_path):
 def test_similarity_normalization_identity():
     assert similarity("Concert A", "concert a") == 1.0
     assert similarity("Café Müller!", "cafe muller") == 1.0
+
+
+def _nfkd_normalize_text(text):
+    """``normalize_text`` as it was before its ASCII fast path: NFKD for every text."""
+    decomposed = unicodedata.normalize("NFKD", text)
+    no_marks = "".join(ch for ch in decomposed if not unicodedata.combining(ch))
+    cleaned = "".join(ch if ch.isalnum() else " " for ch in no_marks.lower())
+    return " ".join(cleaned.split())
+
+
+# all of ASCII, drawing more often the controls that str.split() takes for
+# whitespace (\x0b, \x0c, \x1c-\x1f) and \x7f, which is neither space nor letter
+_ASCII_TEXT = st.text(alphabet=st.one_of(st.characters(max_codepoint=127),
+                                         st.sampled_from("\x0b\x0c\x1c\x1d\x1e\x1f\x7f")))
+# the same with letters that NFKD decomposes or folds, combining marks,
+# non-ASCII digits and spaces, and any other character
+_MIXED_TEXT = st.text(alphabet=st.one_of(
+    st.characters(max_codepoint=127),
+    st.sampled_from("éÉñÅßİﬁ²½\u0301\u0308\u00a0\u2028\u3000٣Ⅻ"),
+    st.characters()))
+
+
+@settings(max_examples=300)
+@given(st.one_of(_ASCII_TEXT, _MIXED_TEXT))
+@example("\x0bRock\x0cFest\x1c2017\x1d\x1e\x1f\x7f!")
+@example("  Café   Müller!! ")
+@example("İstanbul ﬁesta ½")
+def test_normalize_text_fast_path_matches_nfkd_reference(text):
+    assert normalize_text(text) == _nfkd_normalize_text(text)
 
 
 def test_similarity_hand_computed():
@@ -564,6 +620,21 @@ def _strings_and_cutoff(draw):
 def test_bounded_levenshtein_matches_full_table(case):
     a, b, k = case
     assert _bounded_levenshtein(a, b, k) == min(_levenshtein(a, b), k + 1)
+
+
+@settings(max_examples=500)
+@given(_strings_and_cutoff())
+@example(("ab", "xyz", 4))  # shorter than k + 1 pieces: empty pieces occur in every string
+@example(("", "abc", 1))
+@example(("abc", "abd", 0))  # k = 0: the one piece is the whole string
+@example(("abc", "abc", 0))
+@example(("kitten", "sitting", 2))
+def test_partition_filter_rejects_only_distances_above_cutoff(case):
+    a, b, k = case
+    pieces = _pieces(a, k)
+    assert len(pieces) == k + 1 and "".join(pieces) == a
+    if not any(piece in b for piece in pieces):
+        assert _levenshtein(a, b) > k
 
 
 def _oracle_fusion(events, name_threshold=0.85, time_tolerance=timedelta(minutes=30)):
@@ -636,6 +707,55 @@ def test_fuse_long_names_match_full_distance_oracle():
     fused = fuse_sources(events, name_threshold=0.9)
     assert fused == _oracle_fusion(events, 0.9)
     assert sorted(len(e.merge_notes) > 0 for e in fused) == [False, True]  # edited(8) alone
+
+
+@pytest.mark.parametrize("threshold", [0.0, 0.5])
+def test_fuse_short_names_match_full_distance_oracle(threshold):
+    """Names shorter than the k + 1 pieces they are cut into, so some pieces
+    are empty; at 0.0 every pair in a window is a duplicate."""
+    names = ["a", "B", "ab", "xyz", "q!", "abcd", "zz", "a b"]
+    events = [make_event(raw_id=str(i), source_id=f"s{i % 2}", name=name,
+                         start=T0 + timedelta(minutes=7 * i)) for i, name in enumerate(names)]
+    fused = fuse_sources(events, name_threshold=threshold)
+    assert fused == _oracle_fusion(events, threshold)
+    if threshold == 0.0:  # starts 7 minutes apart chain into one group
+        assert len(fused) == 1
+
+
+@pytest.mark.parametrize("threshold", [0.7, 0.85])
+def test_fuse_names_sharing_words_in_one_window_match_full_distance_oracle(threshold):
+    """Forty events within half an hour whose names share words, so most
+    pairs that the length test lets through also pass the partition filter
+    and reach the edit distance."""
+    words = ["musica", "jazz", "rock", "del", "sol", "costa"]
+    names = [f"festival de {words[i % 6]} {words[i // 6 % 6]} {i % 4}" for i in range(40)]
+    events = [make_event(raw_id=str(i), source_id=f"s{i % 3}", name=name,
+                         start=T0 + timedelta(seconds=45 * i)) for i, name in enumerate(names)]
+    passed = checked = 0
+    for i, a in enumerate(names):
+        for b in names[i + 1:]:
+            k = int((1.0 - threshold) * max(len(a), len(b))) + 1
+            if a != b and abs(len(a) - len(b)) <= k:
+                checked += 1
+                passed += any(piece in b for piece in _pieces(a, k))
+    assert passed > checked / 2
+    fused = fuse_sources(events, name_threshold=threshold)
+    assert fused == _oracle_fusion(events, threshold)
+    assert len(fused) < len(events)
+
+
+@pytest.mark.parametrize("tolerance", [DEFAULT_TIME_TOLERANCE, timedelta(minutes=10**9)])
+def test_fuse_near_the_end_of_time_matches_full_distance_oracle(tolerance):
+    """A window that reaches past 9999-12-31 raises no OverflowError."""
+    starts = ["9999-12-31T23:59:00Z", "9999-12-31T23:50:00Z", "9999-12-31T23:59:00Z",
+              "9000-06-01T12:00:00Z", "8000-01-01T00:00:00Z", "2017-03-01T20:00:00Z"]
+    names = ["Last Dance", "last dance!", "Final Show", "Last Dance", "Last Dancer", "Last Dance"]
+    events = [make_event(raw_id=str(i), source_id=f"s{i % 2}", name=name,
+                         start=parse_rfc3339(start)) for i, (name, start)
+              in enumerate(zip(names, starts))]
+    fused = fuse_sources(events, time_tolerance=tolerance)
+    assert fused == _oracle_fusion(events, time_tolerance=tolerance)
+    assert len(fused) == (5 if tolerance == DEFAULT_TIME_TOLERANCE else 3)
 
 
 @pytest.mark.parametrize("threshold", [-0.1, 1.5, float("nan")])
