@@ -43,11 +43,8 @@ logger = logging.getLogger(__name__)
 class Eaw:
     """Inclusive sample-index window of one series around one event."""
 
-    cell_id: str
-    metric: str
     n_start: int
     n_end: int
-    event_id: str
 
     def __post_init__(self):
         if not 0 <= self.n_start <= self.n_end:
@@ -57,28 +54,18 @@ class Eaw:
         return self.n_end - self.n_start + 1
 
 
-@dataclass(frozen=True, eq=False)
-class SocialIndicator:
-    """Gaussian impact profile over an EAW; dimensionless samples in (0, 1]."""
-
-    eaw: Eaw
-    samples: np.ndarray
-
-
 @dataclass(frozen=True)
 class EventCellCorrelation:
     event_id: str
     cell_id: str
     metric: str
     r: Optional[float]  # None when undefined (too few pairs or zero variance)
-    n_samples: int
 
 
 @dataclass(frozen=True)
 class VenueImpactReport:
     """Aggregate correlation of one venue against one (cell, metric)."""
 
-    venue_key: str
     cell_id: str
     metric: str
     r_values: tuple[float, ...]
@@ -251,50 +238,23 @@ def build_eaw(
         raise OutOfRange(
             f"event {event.event_id} outside series {series.cell_id}/{series.metric}"
         )
-    return Eaw(
-        cell_id=series.cell_id,
-        metric=series.metric,
-        n_start=max(0, raw_start),
-        n_end=min(last, raw_end),
-        event_id=event.event_id,
-    )
+    return Eaw(max(0, raw_start), min(last, raw_end))
 
 
-def social_indicator(eaw: Eaw, sigma_scale: float = 1.0) -> SocialIndicator:
-    """Gaussian profile over the window: peak at the midpoint, sigma = L/6.
+def social_indicator(eaw: Eaw, sigma_scale: float = 1.0) -> np.ndarray:
+    """Gaussian impact profile over the window, one dimensionless sample in
+    (0, 1] per index: peak at the midpoint, sigma = L/6.
 
     With sigma at one sixth of the window, +-3 sigma spans the whole EAW;
     ``sigma_scale`` widens or sharpens the expected impact slope.
     """
     length = len(eaw)
     if length == 1:
-        return SocialIndicator(eaw, np.ones(1))
+        return np.ones(1)
     mu = (eaw.n_start + eaw.n_end) / 2.0
     sigma = (length / 6.0) * sigma_scale
     indices = np.arange(eaw.n_start, eaw.n_end + 1, dtype=float)
-    samples = np.exp(-((indices - mu) ** 2) / (2.0 * sigma * sigma))
-    return SocialIndicator(eaw, samples)
-
-
-def _pearson_with_count(x, y) -> tuple[Optional[float], int]:
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if x.shape != y.shape or x.ndim != 1:
-        raise LengthMismatch(f"vector shapes differ: {x.shape} vs {y.shape}")
-    mask = ~(np.isnan(x) | np.isnan(y))
-    xs, ys = x[mask], y[mask]
-    n = int(xs.size)
-    if n < 3:
-        return None, n
-    if np.all(xs == xs[0]) or np.all(ys == ys[0]):
-        return None, n
-    dx = xs - xs.mean()
-    dy = ys - ys.mean()
-    denom = math.sqrt(float(dx @ dx) * float(dy @ dy))
-    if denom == 0.0:
-        return None, n
-    r = float(np.clip((dx @ dy) / denom, -1.0, 1.0))
-    return (r if math.isfinite(r) else None), n
+    return np.exp(-((indices - mu) ** 2) / (2.0 * sigma * sigma))
 
 
 def pearson(x, y) -> Optional[float]:
@@ -304,7 +264,21 @@ def pearson(x, y) -> Optional[float]:
     zero variance, or when the arithmetic overflows; never coerced to a
     number.
     """
-    return _pearson_with_count(x, y)[0]
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    if x.shape != y.shape or x.ndim != 1:
+        raise LengthMismatch(f"vector shapes differ: {x.shape} vs {y.shape}")
+    mask = ~(np.isnan(x) | np.isnan(y))
+    xs, ys = x[mask], y[mask]
+    if xs.size < 3 or np.all(xs == xs[0]) or np.all(ys == ys[0]):
+        return None
+    dx = xs - xs.mean()
+    dy = ys - ys.mean()
+    denom = math.sqrt(float(dx @ dx) * float(dy @ dy))
+    if denom == 0.0:
+        return None
+    r = float(np.clip((dx @ dy) / denom, -1.0, 1.0))
+    return r if math.isfinite(r) else None
 
 
 def correlate_event(
@@ -327,12 +301,9 @@ def correlate_event(
                 f"series {series.cell_id}/{series.metric} does not belong to cell {cell.cell_id}"
             )
         eaw = build_eaw(event, series, params.pre_margin, params.post_margin, duration)
-        indicator = social_indicator(eaw, params.sigma_scale)
         window = series.values[eaw.n_start : eaw.n_end + 1]
-        r, n = _pearson_with_count(indicator.samples, window)
-        results.append(
-            EventCellCorrelation(event.event_id, cell.cell_id, series.metric, r, n)
-        )
+        r = pearson(social_indicator(eaw, params.sigma_scale), window)
+        results.append(EventCellCorrelation(event.event_id, cell.cell_id, series.metric, r))
     return results
 
 
@@ -363,7 +334,6 @@ def aggregate_venue(
         abs_r = np.abs(np.array(defined))
         reports.append(
             VenueImpactReport(
-                venue_key=venue_key,
                 cell_id=cell_id,
                 metric=metric,
                 r_values=tuple(defined),

@@ -64,8 +64,9 @@ def _event_fields(event: ingest.SocialEvent) -> dict:
     }
 
 
-# Indents of associations.json: record keys, site entries, their keys, cell
-# entries and their keys, as ``_json_text`` lays the report out.
+# Indents of associations.json, as ``json.dumps(indent=2)`` lays the report
+# out: record keys, site entries (and ADDRESS parts), their keys, cell
+# entries and their keys.
 _RECORD_KEY, _SITE, _SITE_KEY, _CELL, _CELL_KEY = (
     "\n" + " " * n for n in (6, 8, 10, 12, 14))
 _RECORD_TEXT = """{
@@ -82,9 +83,12 @@ _RECORD_TEXT = """{
 
 
 def _rounded(value: float) -> str:
-    """``round(value, 6)`` as ``_json_text`` writes it."""
+    """``round(value, 6)`` as JSON text; like the stdlib encoder under
+    ``allow_nan=False``, a non-finite value raises ``ValueError``."""
     value = round(value, 6)
-    return float.__repr__(value) if math.isfinite(value) else _json_text(value, "")
+    if not math.isfinite(value):
+        raise ValueError(f"Out of range float values are not JSON compliant: {value!r}")
+    return float.__repr__(value)
 
 
 def _association_texts(
@@ -93,8 +97,9 @@ def _association_texts(
     cells_by_site: dict[str, list[network.Cell]],
 ) -> Iterator[str]:
     """Yield the text of each event's associations.json record, given its
-    close sites, as ``_json_text`` would write the record's dict at its place
-    in the report; ``cells_by_site`` lists each site's cells sorted by cell id.
+    close sites, as ``json.dumps(indent=2, ensure_ascii=False)`` would write
+    the record's dict at its place in the report; ``cells_by_site`` lists
+    each site's cells sorted by cell id.
 
     A record holds the event's fields, then each close site with its
     distance and, where the bearing from the site is defined, each of its
@@ -133,12 +138,15 @@ def _association_texts(
             entries.append(f'{entry},{_SITE_KEY}"CELLS": {cells_text}{_SITE}}}')
         sites_text = ("[" + _SITE + ("," + _SITE).join(entries) + _RECORD_KEY + "]"
                       if entries else "[]")
-        yield _RECORD_TEXT % (
+        address = ingest.address_record(event.address)
+        address_text = ("{" + _SITE + ("," + _SITE).join(
+            [f'"{key}": {encode_basestring(part)}' for key, part in address.items()])
+            + _RECORD_KEY + "}") if address else "null"
+        yield _RECORD_TEXT % (  # LAT and LON are an int or a float, which repr writes as JSON
             encode_basestring(event.name), quoted_time(event.start_time),
             quoted_time(event.end_time) if event.end_time else "null",
             encode_basestring(event.venue) if event.venue is not None else "null",
-            _json_text(ingest.address_record(event.address), _RECORD_KEY),
-            _json_text(event.lat, ""), _json_text(event.lon, ""),
+            address_text, repr(event.lat), repr(event.lon),
             encode_basestring(event.event_id), sites_text)
 
 
@@ -171,48 +179,6 @@ def _cause_record(rank: int, candidate: association.CauseCandidate, events_by_id
         for report in candidate.reports
     ]
     return record
-
-
-def _json_text(value, newline: str) -> str:
-    """The text of ``json.dumps(value, indent=2, ensure_ascii=False,
-    allow_nan=False)``, where ``newline`` is the line break and indent of the
-    line ``value`` starts on ("\\n" at the top).
-
-    The stdlib runs ``indent`` through its pure-Python encoder; this gives
-    the same text in about half the time. Each container is joined from its
-    items' text, so a report is joined one record at a time, and the list of
-    item texts is dropped before the brackets are added: the peak stays near
-    twice the report's size (the stdlib's chunk list takes about six).
-    Dict keys must be strings. Non-finite floats raise ``ValueError``, types
-    JSON has no form for ``TypeError``."""
-    if isinstance(value, str):
-        return encode_basestring(value)
-    if isinstance(value, dict):
-        if not value:
-            return "{}"
-        inner = newline + "  "
-        body = ("," + inner).join(
-            [encode_basestring(key) + ": " + _json_text(item, inner) for key, item in value.items()])
-        return "".join(("{", inner, body, newline, "}"))
-    if isinstance(value, (list, tuple)):
-        if not value:
-            return "[]"
-        inner = newline + "  "
-        body = ("," + inner).join([_json_text(item, inner) for item in value])
-        return "".join(("[", inner, body, newline, "]"))
-    if value is None:
-        return "null"
-    if value is True:
-        return "true"
-    if value is False:
-        return "false"
-    if isinstance(value, int):
-        return int.__repr__(value)
-    if isinstance(value, float):
-        if not math.isfinite(value):
-            raise ValueError(f"out of range float value {value!r} is not JSON compliant")
-        return float.__repr__(value)
-    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
 def _write_json_report(record_texts: Iterable[str], path: Path, stamp: bool) -> None:
@@ -447,8 +413,10 @@ def cmd_analyze(config_path: str, cell_id: str, events_path: Optional[str],
 
     events_by_id = {e.event_id: e for e in events}
     report_path = out_dir / "report.json"
+    # JSON escapes a newline inside a string, so each "\n" is a line break to indent.
     _write_json_report(
-        (_json_text(_cause_record(rank, candidate, events_by_id), "\n    ")
+        (json.dumps(_cause_record(rank, candidate, events_by_id), indent=2,
+                    ensure_ascii=False, allow_nan=False).replace("\n", "\n    ")
          for rank, candidate in enumerate(candidates, start=1)), report_path, stamp)
 
     summary_buffer = io.StringIO()

@@ -203,11 +203,14 @@ def load_config(path: str | Path) -> RunConfig:
         if isinstance(geo_raw, str):
             geo_raw = {"table": geo_raw}
         if isinstance(geo_raw, dict):
-            if geo_raw.get("kind", "fixture") == "fixture":
+            kind = _typed(geo_raw, "kind", "geocoder", str, "fixture")
+            if kind == "fixture":
                 geocoder = ingest.FixtureGeocoder.from_csv(
                     _under(base, _typed(geo_raw, "table", "geocoder", str)))
-            else:
+            elif kind == "http":
                 geocoder = ingest.HttpGeocoder(_typed(geo_raw, "endpoint", "geocoder", str))
+            else:
+                raise ConfigError(f"geocoder: 'kind' must be 'fixture' or 'http', not {kind!r}")
         elif geo_raw is not None:
             raise ConfigError(f"{path}: 'geocoder' must be a string, an object or null")
 

@@ -262,7 +262,7 @@ class FixtureGeocoder:
     def from_csv(cls, path: str | Path) -> "FixtureGeocoder":
         table: dict[str, tuple[float, float, str]] = {}
         try:
-            with open(path, newline="", encoding="utf-8") as handle:
+            with open(path, newline="", encoding="utf-8-sig") as handle:
                 reader = csv.DictReader(handle)
                 required = {"query", "lat", "lon", "normalized_address"}
                 if reader.fieldnames is None or not required <= set(reader.fieldnames):
@@ -409,6 +409,7 @@ def _lines(text: str) -> list[str]:
 
 
 def _decode_records(text: str, source: SourceConfig) -> list[dict]:
+    text = text.removeprefix("\ufeff")  # a byte-order mark some exports put first
     if source.format == "json_records":
         stripped = text.lstrip()
         if stripped.startswith("["):
@@ -626,20 +627,6 @@ def _masked_levenshtein(masks: Mapping[str, int], m: int, text: str, k: int) -> 
     return score
 
 
-def _bounded_levenshtein(a: str, b: str, k: int) -> int:
-    """Edit distance of ``a`` and ``b`` when it is at most ``k``, else ``k + 1``."""
-    return _masked_levenshtein(_char_masks(a), len(a), b, k)
-
-
-def similarity(a: str, b: str) -> float:
-    """Normalized edit-distance similarity in [0, 1]; 1.0 iff normalized forms match."""
-    a, b = normalize_text(a), normalize_text(b)
-    if a == b:
-        return 1.0
-    longest = max(len(a), len(b))
-    return 1.0 - _bounded_levenshtein(a, b, longest) / longest
-
-
 def _pieces(text: str, k: int) -> list[str]:
     """``text`` cut into ``k + 1`` contiguous pieces of near-equal length;
     some are empty when ``text`` is shorter than ``k + 1``."""
@@ -668,13 +655,15 @@ def fuse_sources(
 ) -> list[SocialEvent]:
     """Merge duplicate events: similar names and close start times.
 
-    Two events are duplicates when their name similarity reaches
-    ``name_threshold`` and their start times differ by at most
-    ``time_tolerance``; duplicate groups are the transitive closure of that
-    relation, so the result does not depend on input order. Within a group
-    each field takes the value from the highest-priority source (priority 0
-    for sources not listed), falling back to the first non-absent value;
-    conflicting values are noted on the merged record.
+    Two events are duplicates when their name similarity (one minus the
+    edit distance of the normalized names over the longer one's length, 1
+    for equal names) reaches ``name_threshold`` and their start times
+    differ by at most ``time_tolerance``; duplicate groups are the
+    transitive closure of that relation, so the result does not depend on
+    input order. Within a group each field takes the value from the
+    highest-priority source (priority 0 for sources not listed), falling
+    back to the first non-absent value; conflicting values are noted on the
+    merged record.
 
     Only pairs that can still reach the threshold get an edit distance. A
     pair whose names differ in length by more than the bound ``k`` cannot,

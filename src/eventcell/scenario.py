@@ -621,9 +621,8 @@ def table1_fixture() -> FixtureBundle:
             base = values[("CELL_1A", metric)]
             probe = KpiSeries("CELL_1A", metric, start, period, base)
             eaw = build_eaw(event, probe)
-            indicator = social_indicator(eaw)
             base[eaw.n_start : eaw.n_end + 1] += _orthogonal_profile(
-                indicator.samples, r_signed, amplitude
+                social_indicator(eaw), r_signed, amplitude
             )
 
     series = [

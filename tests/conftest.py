@@ -4,7 +4,8 @@ from datetime import datetime, timedelta, timezone
 import numpy as np
 import pytest
 
-from eventcell.ingest import SocialEvent, SourceConfig
+from eventcell.ingest import (
+    SocialEvent, SourceConfig, _char_masks, _masked_levenshtein, normalize_text)
 from eventcell.network import Cell, KpiSeries, Site
 
 UTC = timezone.utc
@@ -38,6 +39,16 @@ def make_event(
         source_id=source_id,
         raw_id=raw_id,
     )
+
+
+def similarity(a: str, b: str) -> float:
+    """Fusion's name similarity in [0, 1]: one minus the edit distance of the
+    normalized names over the longer one's length; 1.0 iff they match."""
+    a, b = normalize_text(a), normalize_text(b)
+    if a == b:
+        return 1.0
+    longest = max(len(a), len(b))
+    return 1.0 - _masked_levenshtein(_char_masks(a), len(a), b, longest) / longest
 
 
 def hourly_series(values, cell_id="CELL_1A", metric="NUM_DROPS", epoch0=T0):

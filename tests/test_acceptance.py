@@ -13,11 +13,11 @@ import numpy as np
 from eventcell.association import Eaw, build_eaw, identify_causes, pearson, social_indicator
 from eventcell.cli import main
 from eventcell.geo import EARTH_RADIUS_KM, angle_offset_deg, haversine_km
-from eventcell.ingest import fuse_sources, normalize_text, similarity
+from eventcell.ingest import fuse_sources, normalize_text
 from eventcell.network import normalize_periodic
 from eventcell.scenario import build, detection_spec
 
-from conftest import T0, hourly_series, make_event
+from conftest import T0, hourly_series, make_event, similarity
 
 
 def _ok(name, detail=""):
@@ -142,7 +142,7 @@ def test_indicator_self_correlation():
     """pearson(s, s) = 1 within 1e-12 for every EAW length 3..100; the
     profile is symmetric and decays monotonically from the midpoint."""
     for length in range(3, 101):
-        samples = social_indicator(Eaw("C", "M", 0, length - 1, "e")).samples
+        samples = social_indicator(Eaw(0, length - 1))
         r = pearson(samples, samples)
         assert r is not None and abs(r - 1.0) <= 1e-12
         np.testing.assert_allclose(samples, samples[::-1], atol=1e-12)

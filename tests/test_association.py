@@ -399,15 +399,15 @@ def test_eaw_category_duration_via_params():
 def _eaw(n_start, n_end):
     from eventcell.association import Eaw
 
-    return Eaw("C", "M", n_start, n_end, "e")
+    return Eaw(n_start, n_end)
 
 
 def test_indicator_degenerate():
-    np.testing.assert_array_equal(social_indicator(_eaw(5, 5)).samples, [1.0])
+    np.testing.assert_array_equal(social_indicator(_eaw(5, 5)), [1.0])
 
 
 def test_indicator_symmetry_l5():
-    samples = social_indicator(_eaw(10, 14)).samples
+    samples = social_indicator(_eaw(10, 14))
     assert samples[0] == pytest.approx(samples[4], abs=1e-15)
     assert samples.argmax() == 2
     assert samples[2] == 1.0
@@ -415,7 +415,7 @@ def test_indicator_symmetry_l5():
 
 def test_indicator_oracle_l7():
     # direct formula evaluation with sigma = 7/6
-    samples = social_indicator(_eaw(0, 6)).samples
+    samples = social_indicator(_eaw(0, 6))
     sigma = 7.0 / 6.0
     for k in range(7):
         expected = math.exp(-((k - 3.0) ** 2) / (2 * sigma * sigma))
@@ -424,7 +424,7 @@ def test_indicator_oracle_l7():
 
 @pytest.mark.parametrize("length", [2, 3, 4, 5, 8, 13, 50, 100])
 def test_indicator_shape_properties(length):
-    samples = social_indicator(_eaw(7, 7 + length - 1)).samples
+    samples = social_indicator(_eaw(7, 7 + length - 1))
     assert np.all(samples > 0) and np.all(samples <= 1.0)
     np.testing.assert_allclose(samples, samples[::-1], atol=1e-12)  # symmetric
     half = samples[: (length + 1) // 2]
@@ -432,8 +432,8 @@ def test_indicator_shape_properties(length):
 
 
 def test_indicator_sigma_scale():
-    narrow = social_indicator(_eaw(0, 8), sigma_scale=0.5).samples
-    wide = social_indicator(_eaw(0, 8), sigma_scale=2.0).samples
+    narrow = social_indicator(_eaw(0, 8), sigma_scale=0.5)
+    wide = social_indicator(_eaw(0, 8), sigma_scale=2.0)
     assert narrow[0] < wide[0]  # sharper slope at the edges
 
 
@@ -511,7 +511,7 @@ def test_pearson_affine_invariance(scale, offset, seed):
 
 @pytest.mark.parametrize("length", range(3, 101))
 def test_indicator_self_correlation(length):
-    samples = social_indicator(_eaw(0, length - 1)).samples
+    samples = social_indicator(_eaw(0, length - 1))
     assert pearson(samples, samples) == pytest.approx(1.0, abs=1e-12)
 
 
@@ -523,11 +523,10 @@ def test_correlate_event_indicator_aligned(tri_site):
     series = hourly_series(np.zeros(48), cell_id="C_B", metric="M")
     eaw = build_eaw(event, series)
     values = np.zeros(48)
-    values[eaw.n_start : eaw.n_end + 1] = social_indicator(eaw).samples
+    values[eaw.n_start : eaw.n_end + 1] = social_indicator(eaw)
     series = hourly_series(values, cell_id="C_B", metric="M")
     [corr] = correlate_event(event, cells[1], [series])
     assert corr.r == pytest.approx(1.0, abs=1e-12)
-    assert corr.n_samples == len(eaw)
 
 
 def test_correlate_event_flat_window_undefined(tri_site):
@@ -547,7 +546,7 @@ def test_correlate_event_wrong_cell_rejected(tri_site):
 
 
 def _corr(event_id, r, cell="C", metric="M"):
-    return EventCellCorrelation(event_id, cell, metric, r, 6)
+    return EventCellCorrelation(event_id, cell, metric, r)
 
 
 def test_aggregate_single_event():

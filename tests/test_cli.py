@@ -1,7 +1,6 @@
 """Command-line pipeline: stage handoffs, exit codes, reproducibility."""
 import json
 import math
-import re
 import shutil
 from datetime import timedelta
 from unittest import mock
@@ -11,10 +10,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from eventcell import association, cli, network
-from eventcell.cli import _association_texts, _json_text, _write_json_report, main
+from eventcell.cli import _association_texts, _write_json_report, main
 from eventcell.config import (DEFAULT_R_THRESHOLD, EawParams, GeoAssocParams, load_config,
                               load_scenario_spec)
-from eventcell.errors import ConfigError, DegenerateGeometry, InvariantError
+from eventcell.errors import ConfigError, DegenerateGeometry
 from eventcell.filtering import FilterConfig
 from eventcell.ingest import (DEFAULT_NAME_THRESHOLD, DEFAULT_TIME_TOLERANCE, Address,
                               CategoricalScope, SourceConfig, address_record, fuse_sources,
@@ -293,6 +292,22 @@ def test_config_section_of_wrong_json_type_exits_1(t1_dir, tmp_path, capsys, key
     _assert_config_value_refused(t1_dir, tmp_path, capsys, keys, value)
 
 
+@pytest.mark.parametrize("kind, words", [
+    ("Fixture", "'kind' must be 'fixture' or 'http', not 'Fixture'"),
+    ("https", "'kind' must be 'fixture' or 'http', not 'https'"),
+    (5, "'kind' must be a string"),
+    (None, "'kind' must be a string"),
+])
+def test_geocoder_of_unknown_kind_exits_1_naming_it(t1_dir, tmp_path, capsys, kind, words):
+    config = json.loads((t1_dir / "config.json").read_text())
+    config["geocoder"] = {"kind": kind, "table": "geo.csv", "endpoint": "http://localhost:1/"}
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    assert main(["ingest", "--config", str(path), "--out", str(tmp_path / "out")]) == 1
+    assert f"error: geocoder: {words}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("keys, value", [
     (("filter", "soft_mode"), "false"),
     (("filter", "soft_mode"), 0),
@@ -473,51 +488,25 @@ def test_associate_report_round_trips(t1_dir, tmp_path):
     assert re_serialized == path.read_text()
 
 
-# --- report writer -------------------------------------------------------------
-#
-# report.json's records are written by ``_json_text``; the stdlib encoder,
-# which gives the same bytes more slowly, is the oracle.
-
-_JSON_CHARS = st.characters(exclude_categories=()) | st.sampled_from(
-    ["\ud800", "\udfff", "\x00", "\x1f", "\x7f", '"', "\\", "\u2028", "é", "😍"])
-_JSON_LEAVES = (st.none() | st.booleans() | st.integers() | st.integers(-2**200, 2**200)
-                | st.floats(allow_nan=False, allow_infinity=False)
-                | st.sampled_from([-0.0, 0.0, 1e16, 5e-324, 1e-7, 1.7976931348623157e308])
-                | st.text(_JSON_CHARS))
-_JSON_KEYS = st.text(_JSON_CHARS, max_size=8)
-_JSON_TREES = st.recursive(_JSON_LEAVES, lambda children: (
-    st.lists(children, max_size=4) | st.lists(children, max_size=4).map(tuple)
-    | st.dictionaries(_JSON_KEYS, children, max_size=4)), max_leaves=25)
-
-
-@settings(max_examples=300, deadline=None)
-@given(records=st.lists(st.dictionaries(_JSON_KEYS, _JSON_TREES, max_size=6), max_size=4),
-       stamp=st.none() | st.text(_JSON_CHARS))
-def test_report_writer_matches_stdlib_encoder(records, stamp):
-    document = {"records": records}
-    if stamp is not None:
-        document["GENERATED_AT"] = stamp
-    for value in (document, records, *records):
-        assert _json_text(value, "\n") == json.dumps(
-            value, indent=2, ensure_ascii=False, allow_nan=False)
-
+# --- non-finite numbers in a report ------------------------------------------------
 
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
 def test_report_with_a_non_finite_float_exits_1_naming_the_file(t1_dir, tmp_path, capsys,
                                                                 monkeypatch, value):
-    path = tmp_path / "report.json"
-    records = [{"R_VALUES": [0.5, [value]]}]
-    with pytest.raises(InvariantError, match=re.escape(f"{path}: out of range float value")):
-        _write_json_report((_json_text(record, "\n    ") for record in records), path, False)
-    assert not path.exists()
-
+    words = f"Out of range float values are not JSON compliant: {value!r}"
     assert main(["ingest", "--config", _config(t1_dir), "--out", str(tmp_path)]) == 0
+    monkeypatch.setattr(cli, "_cause_record",
+                        lambda rank, candidate, events_by_id: {"R_VALUES": [0.5, [value]]})
+    capsys.readouterr()
+    assert main(["analyze", "--config", _config(t1_dir), "--cell", "CELL_1A",
+                 "--out", str(tmp_path)]) == 1
+    assert f"error: {tmp_path / 'report.json'}: {words}" in capsys.readouterr().err
+    assert list(tmp_path.glob("report.json*")) == []
+
     monkeypatch.setattr(association, "associate_events",
                         lambda events, sites, params: ([(sites[0], value)] for _ in events))
-    capsys.readouterr()
     assert main(["associate", "--config", _config(t1_dir), "--out", str(tmp_path)]) == 1
-    assert f"error: {tmp_path / 'associations.json'}: out of range float value" in (
-        capsys.readouterr().err)
+    assert f"error: {tmp_path / 'associations.json'}: {words}" in capsys.readouterr().err
     assert list(tmp_path.glob("associations.json*")) == []
 
 
@@ -559,18 +548,24 @@ def _association_record(event, close_sites, cells_by_site) -> dict:
     return record
 
 
+_JSON_CHARS = st.characters(exclude_categories=()) | st.sampled_from(
+    ["\ud800", "\udfff", "\x00", "\x1f", "\x7f", '"', "\\", "\u2028", "é", "😍"])
 _TEXT = st.text(_JSON_CHARS, max_size=8)
 # An event holds no lone surrogate (SocialEvent refuses one), so its texts draw none.
 _EVENT_TEXT = st.text(_JSON_CHARS.filter(lambda c: not "\ud800" <= c <= "\udfff"), max_size=8)
+# Integers too: the canonical reader keeps "LAT": 36 an int, which the report writes as 36.
 _COORDINATES = st.tuples(
-    st.floats(-90, 90) | st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308]),
-    st.floats(-180, 180) | st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 180.0, -180.0]))
+    st.floats(-90, 90) | st.integers(-90, 90)
+    | st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308]),
+    st.floats(-180, 180) | st.integers(-180, 180)
+    | st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 180.0, -180.0]))
 
 
 @st.composite
 def _associations(draw):
     """Events, each with its close sites, and the sites' cells: sites without
-    cells, sites with several, events at a site and events with no close site."""
+    cells, sites with several, events at a site and events with no close site,
+    addresses with some, all or none of their parts set."""
     site_ids = draw(st.lists(_TEXT, min_size=1, max_size=4, unique=True))
     sites = [Site(site_id, *draw(_COORDINATES), ("C",)) for site_id in site_ids]
     cells_by_site = {
@@ -578,7 +573,8 @@ def _associations(draw):
                          for cell_id in draw(st.lists(_TEXT, max_size=3, unique=True))),
                         key=lambda cell: cell.cell_id)
         for site_id in site_ids if draw(st.booleans())}
-    address = st.none() | st.builds(Address, *[st.none() | _EVENT_TEXT] * 5)
+    address = (st.none() | st.builds(Address, *[st.none() | _EVENT_TEXT] * 5)
+               | st.builds(Address, *[_EVENT_TEXT] * 5))
     events, closes = [], []
     for k in range(draw(st.integers(0, 4))):
         lat, lon = draw(st.sampled_from(sites).map(lambda site: site.location) | _COORDINATES)
@@ -920,6 +916,44 @@ def test_undecodable_scenario_spec_exits_1(tmp_path, capsys):
     spec.write_bytes(b'{\n\xff"seed": 1}\n')
     assert main(["simulate", "--spec", str(spec), "--out", str(tmp_path / "out")]) == 1
     assert f"error: {spec} line 2: not valid UTF-8" in capsys.readouterr().err
+
+
+_BOM_FEED = [{"name": "Concert A", "start": "2017-03-03T19:00:00Z", "venue": "Hall X"},
+             {"name": "Match B", "start": "2017-03-04T18:00:00Z", "venue": "Hall Y"}]
+
+
+@pytest.mark.parametrize("form", ["ndjson", "array", "csv", "table"])
+def test_a_byte_order_mark_before_a_feed_or_geocoder_table_changes_no_event(tmp_path, form):
+    """ingest writes the same events whether the feed (as NDJSON, a JSON
+    array or CSV, whose first column is NAME) or the geocoder table starts
+    with a UTF-8 byte-order mark or not."""
+    if form == "csv":
+        feed = "name,start,venue\n" + "".join(f"{r['name']},{r['start']},{r['venue']}\n"
+                                              for r in _BOM_FEED)
+    elif form == "array":
+        feed = json.dumps(_BOM_FEED)
+    else:
+        feed = "".join(json.dumps(record) + "\n" for record in _BOM_FEED)
+    table = "query,lat,lon,normalized_address\nHall X,36.7,-4.4,X\nHall Y,36.71,-4.41,Y\n"
+    config = {
+        "sources": [{"source_id": "s", "locator": "feed.txt",
+                     "format": "csv_records" if form == "csv" else "json_records",
+                     "field_map": {"name": "NAME", "start": "START_TIME", "venue": "VENUE"}}],
+        "geocoder": "geo.csv",
+        "filter": {"geo": {"box": [36.0, 37.0, -5.0, -4.0]},
+                   "time": {"start": "2017-03-01T00:00:00Z", "end": "2017-03-10T00:00:00Z"}},
+    }
+    written = []
+    for bom in ("", "\ufeff"):
+        run = tmp_path / f"bom{len(bom)}"
+        run.mkdir()
+        (run / "feed.txt").write_text(("" if form == "table" else bom) + feed, encoding="utf-8")
+        (run / "geo.csv").write_text((bom if form == "table" else "") + table, encoding="utf-8")
+        (run / "config.json").write_text(json.dumps(config))
+        assert main(["ingest", "--config", str(run / "config.json"), "--out", str(run / "out")]) == 0
+        written.append((run / "out" / "events.ndjson").read_text(encoding="utf-8"))
+    assert written[1] == written[0]
+    assert [json.loads(line)["LAT"] for line in written[0].splitlines()] == [36.7, 36.71]
 
 
 @pytest.fixture(scope="module")

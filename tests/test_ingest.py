@@ -31,9 +31,10 @@ from eventcell.ingest import (
     _FIELD_TYPES,
     _JSON_NAMES,
     _STRICT_DECODER,
-    _bounded_levenshtein,
+    _char_masks,
     _decode_records,
     _json_type,
+    _masked_levenshtein,
     _merge_group,
     _pieces,
     Address,
@@ -55,12 +56,11 @@ from eventcell.ingest import (
     normalize_text,
     parse_record,
     read_events,
-    similarity,
     write_events,
 )
 from eventcell.timeutil import parse_rfc3339
 
-from conftest import T0, UTC, make_event
+from conftest import T0, UTC, make_event, similarity
 
 ANY_GEO = GeoScope(categorical=CategoricalScope(city="Malaga"))
 ANY_TIME = TimeScope(T0, T0 + timedelta(days=54))
@@ -606,6 +606,11 @@ def _strings_and_cutoff(draw):
     else:
         b = draw(text(*sizes))
     return a, b, draw(st.integers(0, max(len(a), len(b)) + 2))
+
+
+def _bounded_levenshtein(a: str, b: str, k: int) -> int:
+    """Edit distance of ``a`` and ``b`` when it is at most ``k``, else ``k + 1``."""
+    return _masked_levenshtein(_char_masks(a), len(a), b, k)
 
 
 @settings(max_examples=500)

@@ -17,7 +17,7 @@ from eventcell.config import GeoAssocParams, load_config
 from eventcell.errors import SpecError
 from eventcell.filtering import run_filters
 from eventcell.geo import haversine_km
-from eventcell.ingest import BoundingBox, fuse_sources, normalize_text, similarity
+from eventcell.ingest import BoundingBox, fuse_sources, normalize_text
 from eventcell.network import load_kpis, load_topology, normalize_periodic
 from eventcell.scenario import (
     CounterRng,
@@ -33,6 +33,8 @@ from eventcell.scenario import (
     funnel_fixture,
     table1_fixture,
 )
+
+from conftest import similarity
 
 UTC = timezone.utc
 START = datetime(2017, 3, 1, tzinfo=UTC)
