@@ -5,10 +5,12 @@ Reports carry the uppercase field vocabulary (NAME, START_TIME, VENUE,
 GEOGRAPHICAL_CLOSE_SITES, CORRELATED_CELLS, ...) and contain no timestamps
 unless ``--stamp`` is given, so reruns on the same inputs are byte-identical.
 
-Exit codes: 0 success, 1 configuration or input error, 2 I/O failure.
+Exit codes: 0 success (``--help`` included), 1 configuration, input or usage
+error, 2 I/O failure.
 """
 from __future__ import annotations
 
+import argparse
 import csv
 import functools
 import io
@@ -20,9 +22,8 @@ from dataclasses import replace
 from datetime import datetime
 from json.encoder import encode_basestring
 from pathlib import Path
+from types import SimpleNamespace
 from typing import TYPE_CHECKING, Iterable, Iterator, Optional, Sequence
-
-import click
 
 from . import filtering, ingest
 from .config import AGGREGATE_STATS, RunConfig, load_config, load_scenario_spec
@@ -210,14 +211,16 @@ def _write_json_report(record_texts: Iterable[str], path: Path, stamp: bool) -> 
 # Commands
 # ---------------------------------------------------------------------------
 
-@click.group()
-@click.option("--verbose", is_flag=True, help="Enable debug logging.")
-def cli(verbose: bool):
-    """Social-event to cellular-network association pipeline."""
-    logging.basicConfig(
-        level=logging.DEBUG if verbose else logging.WARNING,
-        format="%(levelname)s %(name)s: %(message)s",
-    )
+def _command(name: str, *options: tuple[tuple[str, ...], dict]):
+    """Decorate a function as subcommand ``name``: a record of the name, the
+    options as ``(flags, add_argument keywords)`` pairs and the function as
+    ``callback``, which ``main`` calls with the parsed options as keywords.
+    The function's docstring is the subcommand's help."""
+    return lambda callback: SimpleNamespace(name=name, options=options, callback=callback)
+
+
+def _option(*flags: str, **keywords) -> tuple[tuple[str, ...], dict]:
+    return flags, keywords
 
 
 def _out_dir(config: Optional[RunConfig], out: Optional[str]) -> Path:
@@ -245,9 +248,12 @@ def _events_input(out_dir: Path, explicit: Optional[str]) -> Path:
     )
 
 
-@cli.command("ingest")
-@click.option("--config", "config_path", required=True, type=click.Path(), help="Run configuration file.")
-@click.option("--out", type=click.Path(), help="Output directory (default: paths.output).")
+_CONFIG = _option("--config", dest="config_path", required=True, help="Run configuration file.")
+_OUT = _option("--out", help="Output directory (default: paths.output).")
+_STAMP = _option("--stamp", action="store_true", help="Embed a generation timestamp in reports.")
+
+
+@_command("ingest", _CONFIG, _OUT)
 def cmd_ingest(config_path: str, out: Optional[str]):
     """Fetch, parse, consolidate and fuse events into the canonical file."""
     config = load_config(config_path)
@@ -262,7 +268,6 @@ def cmd_ingest(config_path: str, out: Optional[str]):
         except SourceUnreachable as exc:
             failures += 1
             logger.warning("%s", exc)
-            click.echo(f"warning: {exc}", err=True)
             continue
         fetched += len(raw_records)
         for record in raw_records:
@@ -293,14 +298,12 @@ def cmd_ingest(config_path: str, out: Optional[str]):
     for label, count in (("fetched", fetched), ("parsed", len(parsed)),
                          ("consolidated", len(consolidated)), ("fused", len(fused)),
                          ("venues", venues)):
-        click.echo(f"{label}: {count}")
-    click.echo(f"wrote {events_path}")
+        print(f"{label}: {count}")
+    print(f"wrote {events_path}")
 
 
-@cli.command("filter")
-@click.option("--config", "config_path", required=True, type=click.Path())
-@click.option("--events", "events_path", type=click.Path(), help="Canonical event file (default: <out>/events.ndjson).")
-@click.option("--out", type=click.Path())
+@_command("filter", _CONFIG, _OUT, _option(
+    "--events", dest="events_path", help="Canonical event file (default: <out>/events.ndjson)."))
 def cmd_filter(config_path: str, events_path: Optional[str], out: Optional[str]):
     """Apply availability, geographic, semantic and temporal filters."""
     config = load_config(config_path)
@@ -315,18 +318,15 @@ def cmd_filter(config_path: str, events_path: Optional[str], out: Optional[str])
     filtering.write_traces(traces, drops_path)
 
     venues = len({e.venue for e in kept if e.venue})
-    click.echo(f"input: {len(events)}")
-    click.echo(f"kept: {len(kept)}")
-    click.echo(f"dropped: {len(traces)}")
-    click.echo(f"venues: {venues}")
-    click.echo(f"wrote {filtered_path} and {drops_path}")
+    print(f"input: {len(events)}")
+    print(f"kept: {len(kept)}")
+    print(f"dropped: {len(traces)}")
+    print(f"venues: {venues}")
+    print(f"wrote {filtered_path} and {drops_path}")
 
 
-@cli.command("associate")
-@click.option("--config", "config_path", required=True, type=click.Path())
-@click.option("--events", "events_path", type=click.Path(), help="Event file (default: <out>/filtered.ndjson).")
-@click.option("--out", type=click.Path())
-@click.option("--stamp", is_flag=True, help="Embed a generation timestamp in the report.")
+@_command("associate", _CONFIG, _OUT, _STAMP, _option(
+    "--events", dest="events_path", help="Event file (default: <out>/filtered.ndjson)."))
 def cmd_associate(config_path: str, events_path: Optional[str], out: Optional[str], stamp: bool):
     """Geographic association: close sites and per-cell bearing offsets."""
     from . import association, network
@@ -354,20 +354,19 @@ def cmd_associate(config_path: str, events_path: Optional[str], out: Optional[st
     closes = association.associate_events(located, sites, config.geo_assoc)
     report_path = out_dir / "associations.json"
     _write_json_report(_association_texts(located, closes, cells_by_site), report_path, stamp)
-    click.echo(f"associated: {len(located)}")
-    click.echo(f"skipped (no coordinates): {skipped}")
-    click.echo(f"wrote {report_path}")
+    print(f"associated: {len(located)}")
+    print(f"skipped (no coordinates): {skipped}")
+    print(f"wrote {report_path}")
 
 
-@cli.command("analyze")
-@click.option("--config", "config_path", required=True, type=click.Path())
-@click.option("--cell", "cell_id", required=True, help="Degraded cell to explain.")
-@click.option("--events", "events_path", type=click.Path(), help="Event file (default: <out>/events.ndjson).")
-@click.option("--threshold", type=float, help="Override r_threshold from the config.")
-@click.option("--stat", type=click.Choice(AGGREGATE_STATS), help="Override aggregate_stat.")
-@click.option("--raw", is_flag=True, help="Correlate on raw KPIs instead of normalized residuals.")
-@click.option("--out", type=click.Path())
-@click.option("--stamp", is_flag=True)
+@_command("analyze", _CONFIG, _OUT, _STAMP,
+          _option("--cell", dest="cell_id", required=True, help="Degraded cell to explain."),
+          _option("--events", dest="events_path",
+                  help="Event file (default: <out>/events.ndjson)."),
+          _option("--threshold", type=float, help="Override r_threshold from the config."),
+          _option("--stat", choices=AGGREGATE_STATS, help="Override aggregate_stat."),
+          _option("--raw", action="store_true",
+                  help="Correlate on raw KPIs instead of normalized residuals."))
 def cmd_analyze(config_path: str, cell_id: str, events_path: Optional[str],
                 threshold: Optional[float], stat: Optional[str], raw: bool,
                 out: Optional[str], stamp: bool):
@@ -431,7 +430,7 @@ def cmd_analyze(config_path: str, cell_id: str, events_path: Optional[str],
     summary_path = out_dir / "summary.csv"
     atomic_write_text(summary_path, summary_buffer.getvalue())
 
-    click.echo(json.dumps({
+    print(json.dumps({
         "cell": cell_id,
         "stat": config.aggregate_stat,
         "threshold": config.r_threshold,
@@ -443,12 +442,13 @@ def cmd_analyze(config_path: str, cell_id: str, events_path: Optional[str],
     }, allow_nan=False))
 
 
-@cli.command("simulate")
-@click.option("--spec", "spec_path", type=click.Path(), help="Scenario specification (JSON).")
-@click.option("--preset", type=click.Choice(["table1", "funnel", "detection"]),
-              help="Built-in fixture instead of a spec file.")
-@click.option("--seed", type=int, default=0, show_default=True, help="Seed for the detection preset.")
-@click.option("--out", required=True, type=click.Path())
+@_command("simulate",
+          _option("--spec", dest="spec_path", help="Scenario specification (JSON)."),
+          _option("--preset", choices=("table1", "funnel", "detection"),
+                  help="Built-in fixture instead of a spec file."),
+          _option("--seed", type=int, default=0,
+                  help="Seed for the detection preset (default: 0)."),
+          _option("--out", required=True, help="Output directory."))
 def cmd_simulate(spec_path: Optional[str], preset: Optional[str], seed: int, out: str):
     """Generate a synthetic fixture bundle with ground truth."""
     from . import scenario  # only simulate needs it, so other stages start without it
@@ -465,32 +465,58 @@ def cmd_simulate(spec_path: Optional[str], preset: Optional[str], seed: int, out
         bundle = scenario.build(load_scenario_spec(spec_path))
     written = bundle.write(out)
     for path in written:
-        click.echo(f"wrote {path}")
+        print(f"wrote {path}")
+
+
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error as ``ConfigError``, so it exits 1 like every
+    other input error instead of with argparse's 2, the I/O-failure code."""
+
+    def error(self, message: str):
+        raise ConfigError(message)
+
+
+@functools.cache
+def _parser() -> _Parser:
+    """The parser of every subcommand, built on first use and kept for the
+    process. Prefixes of long options are refused, and help is ``--help``
+    alone."""
+    parser = _Parser(prog="eventcell", add_help=False, allow_abbrev=False,
+                     description="Social-event to cellular-network association pipeline.")
+    parser.add_argument("--help", action="help", help="Show this message and exit.")
+    parser.add_argument("--verbose", action="store_true", help="Enable debug logging.")
+    commands = parser.add_subparsers(title="commands", metavar="COMMAND", required=True)
+    for command in (cmd_analyze, cmd_associate, cmd_filter, cmd_ingest, cmd_simulate):
+        doc = command.callback.__doc__
+        sub = commands.add_parser(command.name, add_help=False, allow_abbrev=False,
+                                  help=doc, description=doc)
+        sub.add_argument("--help", action="help", help="Show this message and exit.")
+        for flags, keywords in command.options:
+            sub.add_argument(*flags, **keywords)
+        sub.set_defaults(command=command)
+    return parser
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     """Run the CLI and map exceptions onto the stable exit-code contract."""
     try:
-        cli.main(args=list(argv) if argv is not None else None, standalone_mode=False)
-    except click.exceptions.Exit as exc:
-        return int(exc.exit_code)
-    except click.UsageError as exc:
-        click.echo(f"error: {exc.format_message()}", err=True)
-        return EXIT_CONFIG
-    except click.Abort:
-        return EXIT_CONFIG
+        try:
+            options = vars(_parser().parse_args(argv))
+        except SystemExit:  # --help has printed its text; a usage error raises ConfigError
+            return EXIT_OK
+        logging.basicConfig(
+            level=logging.DEBUG if options.pop("verbose") else logging.WARNING,
+            format="%(levelname)s %(name)s: %(message)s",
+        )
+        options.pop("command").callback(**options)
     except (SourceUnreachable, OSError) as exc:
-        click.echo(f"error: {exc}", err=True)
+        print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
     except EventcellError as exc:
-        click.echo(f"error: {exc}", err=True)
+        print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     return EXIT_OK
 
 
-def entry() -> None:  # console-script hook
-    sys.exit(main())
-
-
 if __name__ == "__main__":
-    entry()
+    sys.exit(main())

@@ -351,7 +351,7 @@ def fetch_raw(source: SourceConfig, geo: GeoScope, time: TimeScope) -> list[dict
     """
     if source.kind == "file":
         try:
-            text = Path(source.locator).read_text(encoding="utf-8")
+            text = Path(source.locator).read_text(encoding="utf-8-sig")
         except OSError as exc:
             raise SourceUnreachable(source.source_id, str(exc)) from exc
         except UnicodeDecodeError:
@@ -378,7 +378,8 @@ def fetch_raw(source: SourceConfig, geo: GeoScope, time: TimeScope) -> list[dict
 
 def _http_get(url: str, params: Mapping[str, str], timeout: float) -> str:
     """The body of a 2xx answer to one GET of ``url``, with ``params``
-    URL-encoded and appended to its query, decoded as UTF-8.
+    URL-encoded and appended to its query, decoded as UTF-8 with a leading
+    byte-order mark skipped.
 
     Any other status, a URL that is not http or https, and every transport
     failure (a refused or timed-out connection, a body cut short) raise
@@ -399,7 +400,7 @@ def _http_get(url: str, params: Mapping[str, str], timeout: float) -> str:
             body = response.read()
     except (http.client.HTTPException, ValueError) as exc:  # the rest are OSError already
         raise OSError(str(exc)) from exc
-    return body.decode("utf-8")
+    return body.decode("utf-8-sig")
 
 
 def _lines(text: str) -> list[str]:
@@ -409,7 +410,6 @@ def _lines(text: str) -> list[str]:
 
 
 def _decode_records(text: str, source: SourceConfig) -> list[dict]:
-    text = text.removeprefix("\ufeff")  # a byte-order mark some exports put first
     if source.format == "json_records":
         stripped = text.lstrip()
         if stripped.startswith("["):

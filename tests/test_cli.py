@@ -1,8 +1,12 @@
 """Command-line pipeline: stage handoffs, exit codes, reproducibility."""
 import json
 import math
+import os
 import shutil
+import subprocess
+import sys
 from datetime import timedelta
+from pathlib import Path
 from unittest import mock
 
 import pytest
@@ -194,7 +198,7 @@ def test_ingest_all_sources_unreachable(tmp_path):
     assert main(["ingest", "--config", str(path)]) == 2
 
 
-def test_ingest_partial_failure_warns(t1_dir, tmp_path, capsys):
+def test_ingest_partial_failure_warns(t1_dir, tmp_path):
     config = json.loads((t1_dir / "config.json").read_text())
     config["sources"][0]["locator"] = str(t1_dir / "events.ndjson")
     config["sources"].append({
@@ -205,10 +209,18 @@ def test_ingest_partial_failure_warns(t1_dir, tmp_path, capsys):
     config["paths"]["kpis"] = str(t1_dir / "kpis.csv")
     path = tmp_path / "config.json"
     path.write_text(json.dumps(config))
-    assert main(["ingest", "--config", str(path), "--out", str(tmp_path / "out")]) == 0
-    captured = capsys.readouterr()
-    assert "warning" in captured.err.lower()
-    assert "fetched: 29" in captured.out
+    # A fresh process: under pytest the log record goes to pytest's handlers, not stderr.
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(Path(cli.__file__).parents[1]), env.get("PYTHONPATH", "")])
+    code = "import sys; from eventcell.cli import main; sys.exit(main(sys.argv[1:]))"
+    argv = ["ingest", "--config", str(path), "--out", str(tmp_path / "out")]
+    result = subprocess.run([sys.executable, "-c", code, *argv], env=env, capture_output=True,
+                            text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
+    assert "warning" in result.stderr.lower()
+    assert result.stderr.count("source 'broken' unreachable") == 1
+    assert "fetched: 29" in result.stdout
 
 
 def test_missing_config_is_io_error(tmp_path):
@@ -853,8 +865,53 @@ def test_analyze_reads_a_character_split_by_a_block_edge(detection7, tmp_path, m
         assert (bundle / "out" / name).read_bytes() == (detection7 / "out" / name).read_bytes()
 
 
-def test_usage_error_is_config_exit():
-    assert main(["analyze"]) == 1  # missing required options
+@pytest.fixture(scope="module")
+def funnel_dir(tmp_path_factory):
+    path = tmp_path_factory.mktemp("funnel")
+    assert main(["simulate", "--preset", "funnel", "--out", str(path)]) == 0
+    assert main(["ingest", "--config", str(path / "config.json"), "--out", str(path / "out")]) == 0
+    return path
+
+
+_ANALYZE = ["analyze", "--config", "CONFIG", "--cell", "CELL_1A", "--out", "OUT"]
+
+
+@pytest.mark.parametrize("argv, code, stream, named", [
+    ([], 1, "err", "command"),
+    (["bogus"], 1, "err", "bogus"),
+    (["--verbose"], 1, "err", "command"),
+    (["analyze"], 1, "err", "--config"),
+    (["ingest", "--out", "OUT"], 1, "err", "--config"),
+    (["analyze", "--config", "CONFIG", "--out", "OUT"], 1, "err", "--cell"),
+    (_ANALYZE + ["--stat", "bogus"], 1, "err", "bogus"),
+    (_ANALYZE + ["--stat", "MEAN"], 1, "err", "MEAN"),
+    (_ANALYZE + ["--threshold", "abc"], 1, "err", "abc"),
+    (["simulate", "--preset", "nope", "--out", "OUT"], 1, "err", "nope"),
+    (["simulate", "--preset", "detection", "--seed", "x", "--out", "OUT"], 1, "err", "--seed"),
+    (["filter", "--config", "CONFIG", "--out", "OUT", "--nope"], 1, "err", "--nope"),
+    (["ingest", "--config"], 1, "err", "--config"),
+    (["ingest", "--conf", "CONFIG", "--out", "OUT"], 1, "err", "--conf"),
+    (["--help"], 0, "out", "usage"),
+    (["analyze", "--help"], 0, "out", "--cell"),
+    (["--verbose", "filter", "--config", "FUNNEL", "--out", "FUNNEL_OUT"], 0, "out", "kept: 1768"),
+], ids=["no-args", "unknown-command", "verbose-alone", "analyze-alone", "no-config", "no-cell",
+        "stat-bogus", "stat-upper-case", "threshold-not-a-number", "preset-unknown",
+        "seed-not-an-int", "unknown-option", "config-without-value", "abbreviated-option",
+        "help", "analyze-help", "verbose-filter"])
+def test_usage_exit_codes(t1_dir, funnel_dir, tmp_path, capsys, argv, code, stream, named):
+    """A usage error exits 1 with one ``error:`` message naming what was
+    wrong, --help prints usage and exits 0, and a valid line runs; none
+    raises out of ``main`` or prints a traceback."""
+    places = {"CONFIG": _config(t1_dir), "OUT": str(tmp_path),
+              "FUNNEL": str(funnel_dir / "config.json"), "FUNNEL_OUT": str(funnel_dir / "out")}
+    assert main([places.get(arg, arg) for arg in argv]) == code
+    captured = capsys.readouterr()
+    assert named.lower() in getattr(captured, stream).lower()
+    assert "Traceback" not in captured.err
+    if code:
+        assert captured.err.startswith("error: ")
+    else:
+        assert "error:" not in captured.err
 
 
 # --- unreadable input ----------------------------------------------------------

@@ -233,15 +233,16 @@ def test_ingest_exits_1_when_an_http_feed_is_not_utf8(http_server, tmp_path, cap
     assert "source 'web0'" in capsys.readouterr().err
 
 
-def test_ingest_exits_2_when_every_http_source_fails(http_server, tmp_path, capsys):
+def test_ingest_exits_2_when_every_http_source_fails(http_server, tmp_path, capsys, caplog):
     from eventcell.cli import main
 
     http_server.status = 503
     config = _http_config(tmp_path, [f"{http_server.url}/a", "http://127.0.0.1:1/b"])
-    assert main(["ingest", "--config", config]) == 2
-    err = capsys.readouterr().err
-    assert "source 'web0' unreachable: HTTP Error 503" in err
-    assert "source 'web1' unreachable" in err and "every configured source failed" in err
+    with caplog.at_level("WARNING", logger="eventcell.cli"):
+        assert main(["ingest", "--config", config]) == 2
+    assert "source 'web0' unreachable: HTTP Error 503" in caplog.text
+    assert "source 'web1' unreachable" in caplog.text
+    assert "every configured source failed" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------
@@ -406,6 +407,15 @@ def test_http_geocoder(http_server):
         {"lat": 36.72, "lon": -4.42, "normalized_address": "Avenida X 1"}).encode()
     client = HttpGeocoder(f"{http_server.url}/geocode")
     assert client.resolve("Av. X 1") == (36.72, -4.42, "Avenida X 1")
+
+
+def test_http_geocoder_answer_may_start_with_a_byte_order_mark(http_server):
+    client = HttpGeocoder(f"{http_server.url}/geocode")
+    body = json.dumps({"lat": 36.7, "lon": -4.4, "normalized_address": "X"}).encode()
+    http_server.body = body
+    plain = client.resolve("Av. X 1")
+    http_server.body = "\ufeff".encode() + body
+    assert client.resolve("Av. X 1") == plain == (36.7, -4.4, "X")
 
 
 def test_http_geocoder_failure_is_none():
