@@ -41,7 +41,9 @@ from .timeutil import UTC, format_rfc3339
 if TYPE_CHECKING:  # associate and analyze import these when they run: they load numpy
     from . import association, network
 
-logger = logging.getLogger(__name__)
+# Named rather than ``__name__``, which is "__main__" under ``python -m
+# eventcell.cli``: its records must reach the handler on the package logger.
+logger = logging.getLogger("eventcell.cli")
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -251,6 +253,9 @@ def _events_input(out_dir: Path, explicit: Optional[str]) -> Path:
 _CONFIG = _option("--config", dest="config_path", required=True, help="Run configuration file.")
 _OUT = _option("--out", help="Output directory (default: paths.output).")
 _STAMP = _option("--stamp", action="store_true", help="Embed a generation timestamp in reports.")
+# associate's and analyze's, resolved by ``_events_input``
+_EVENTS = _option("--events", dest="events_path", help=(
+    "Event file (default: <out>/filtered.ndjson, else <out>/events.ndjson)."))
 
 
 @_command("ingest", _CONFIG, _OUT)
@@ -325,8 +330,7 @@ def cmd_filter(config_path: str, events_path: Optional[str], out: Optional[str])
     print(f"wrote {filtered_path} and {drops_path}")
 
 
-@_command("associate", _CONFIG, _OUT, _STAMP, _option(
-    "--events", dest="events_path", help="Event file (default: <out>/filtered.ndjson)."))
+@_command("associate", _CONFIG, _OUT, _STAMP, _EVENTS)
 def cmd_associate(config_path: str, events_path: Optional[str], out: Optional[str], stamp: bool):
     """Geographic association: close sites and per-cell bearing offsets."""
     from . import association, network
@@ -361,8 +365,7 @@ def cmd_associate(config_path: str, events_path: Optional[str], out: Optional[st
 
 @_command("analyze", _CONFIG, _OUT, _STAMP,
           _option("--cell", dest="cell_id", required=True, help="Degraded cell to explain."),
-          _option("--events", dest="events_path",
-                  help="Event file (default: <out>/events.ndjson)."),
+          _EVENTS,
           _option("--threshold", type=float, help="Override r_threshold from the config."),
           _option("--stat", choices=AGGREGATE_STATS, help="Override aggregate_stat."),
           _option("--raw", action="store_true",
@@ -497,6 +500,27 @@ def _parser() -> _Parser:
     return parser
 
 
+class _StderrHandler(logging.StreamHandler):
+    """Writes to ``sys.stderr`` as it is at each record, not as it was when
+    the handler was made, so a host that swaps the stream gets the lines."""
+
+    stream = property(lambda self: sys.stderr, lambda self, value: None)
+
+
+_LOG_HANDLER = _StderrHandler()
+_LOG_HANDLER.setFormatter(logging.Formatter("%(levelname)s %(name)s: %(message)s"))
+
+
+def _configure_logging(verbose: bool) -> None:
+    """Set the package logger's level for this call and give it the one
+    stderr handler. Unlike ``logging.basicConfig``, this holds on every call
+    and whatever the host did to the root logger."""
+    package = logging.getLogger("eventcell")
+    package.setLevel(logging.DEBUG if verbose else logging.WARNING)
+    if _LOG_HANDLER not in package.handlers:
+        package.addHandler(_LOG_HANDLER)
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     """Run the CLI and map exceptions onto the stable exit-code contract."""
     try:
@@ -504,10 +528,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             options = vars(_parser().parse_args(argv))
         except SystemExit:  # --help has printed its text; a usage error raises ConfigError
             return EXIT_OK
-        logging.basicConfig(
-            level=logging.DEBUG if options.pop("verbose") else logging.WARNING,
-            format="%(levelname)s %(name)s: %(message)s",
-        )
+        _configure_logging(options.pop("verbose"))
         options.pop("command").callback(**options)
     except (SourceUnreachable, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

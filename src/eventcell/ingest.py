@@ -17,8 +17,9 @@ import logging
 import math
 import unicodedata
 from bisect import bisect_right
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field
 from datetime import datetime, timedelta, tzinfo
+from json.encoder import encode_basestring
 from pathlib import Path
 from typing import Iterable, Mapping, NamedTuple, Optional, Protocol, Sequence
 
@@ -56,14 +57,15 @@ CANONICAL_FIELDS = frozenset(
     }
 )
 FIELD_ALIASES = {"TYPE": "CATEGORY"}
+_NUMERIC_FIELDS = frozenset({"LAT", "LON", "POPULARITY"})
 
 DEFAULT_NAME_THRESHOLD = 0.85
 DEFAULT_TIME_TOLERANCE = timedelta(minutes=30)
 
 
-@dataclass(frozen=True)
-class Address:
-    """Structured postal details; every part is optional."""
+class Address(NamedTuple):
+    """Structured postal details; every part is optional. A named tuple, like
+    ``SocialEvent``: every raw record with an address part builds one."""
 
     street: Optional[str] = None
     city: Optional[str] = None
@@ -71,8 +73,8 @@ class Address:
     country: Optional[str] = None
     text: Optional[str] = None
 
-    def is_empty(self) -> bool:
-        return all(v is None for v in (self.street, self.city, self.region, self.country, self.text))
+
+_NO_ADDRESS = Address()
 
 
 class _EventFields(NamedTuple):
@@ -148,7 +150,13 @@ class SocialEvent(_EventFields):
 
 @dataclass(frozen=True)
 class SourceConfig:
-    """Declarative description of one event source."""
+    """Declarative description of one event source.
+
+    ``zone`` (the resolved ``timezone``) and ``field_plan`` (each
+    ``field_map`` source name with its target's canonical name and whether
+    that is a numeric field) are derived once, here, for ``parse_record`` to
+    use on every record.
+    """
 
     source_id: str
     locator: str
@@ -157,6 +165,8 @@ class SourceConfig:
     format: str = "json_records"  # or "csv_records"
     priority: int = 0
     timezone: str = "UTC"
+    zone: tzinfo = field(init=False, repr=False, compare=False)
+    field_plan: tuple[tuple[str, str, bool], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.kind not in ("file", "http"):
@@ -165,7 +175,7 @@ class SourceConfig:
             raise ConfigError(f"source '{self.source_id}': unknown format {self.format!r}")
         if self.priority < 0:
             raise ConfigError(f"source '{self.source_id}': priority must be >= 0")
-        mapped = set()
+        plan = []
         for src_name, target in self.field_map.items():
             canon = FIELD_ALIASES.get(target, target)
             if canon not in CANONICAL_FIELDS:
@@ -173,13 +183,11 @@ class SourceConfig:
                     f"source '{self.source_id}': field_map target {target!r} "
                     f"for {src_name!r} is not a canonical field"
                 )
-            mapped.add(canon)
-        if not {"NAME", "START_TIME"} <= mapped:
+            plan.append((src_name, canon, canon in _NUMERIC_FIELDS))
+        if not {"NAME", "START_TIME"} <= {canon for _, canon, _ in plan}:
             raise ConfigError(f"source '{self.source_id}': field_map must cover NAME and START_TIME")
-        resolve_zone(self.timezone)  # fail fast on bad zone strings
-
-    def zone(self) -> tzinfo:
-        return resolve_zone(self.timezone)
+        object.__setattr__(self, "zone", resolve_zone(self.timezone))  # fails on a bad zone
+        object.__setattr__(self, "field_plan", tuple(plan))
 
 
 @dataclass(frozen=True)
@@ -449,78 +457,59 @@ def _record_digest(raw: Mapping) -> str:
     return hashlib.sha1(blob).hexdigest()[:12]
 
 
-def _as_float(value, field_name: str, context: str) -> float:
+def _as_float(value, field_name: str, source_id: str) -> float:
     try:
         return float(value)
-    except (TypeError, ValueError):
-        raise InvariantError(f"{context}: {field_name} is not numeric: {value!r}") from None
+    except (TypeError, ValueError, OverflowError):  # OverflowError: an int beyond float range
+        raise InvariantError(
+            f"source '{source_id}': {field_name} is not numeric: {value!r}") from None
 
 
 def parse_record(raw: Mapping, cfg: SourceConfig) -> SocialEvent:
     """Interpret one raw record into a canonical :class:`SocialEvent`.
 
-    Missing optional fields stay absent, never invented. The event id is
-    ``source_id/raw_id``; when a source gives no id, a digest of the record
-    stands in so ids stay stable across runs.
+    Missing optional fields stay absent, never invented. A field is read as
+    text, stripped, and is absent when that leaves nothing; LAT, LON and
+    POPULARITY keep a value that is not a string for ``float`` to read. The
+    event id is ``source_id/raw_id``; when a source gives no id, a digest of
+    the record stands in so ids stay stable across runs.
     """
     values: dict[str, object] = {}
-    for src_name, target in cfg.field_map.items():
-        canon = FIELD_ALIASES.get(target, target)
-        value = raw.get(src_name)
+    get = raw.get
+    for src_name, canon, numeric in cfg.field_plan:
+        value = get(src_name)
         if value is None:
             continue
-        if isinstance(value, str):
-            value = value.strip()
+        if not numeric or isinstance(value, str):
+            value = str(value).strip()
             if not value:
                 continue
         values[canon] = value
 
-    context = f"source '{cfg.source_id}'"
-    if "NAME" not in values:
-        raise MissingRequiredField(f"{context}: record lacks NAME")
-    if "START_TIME" not in values:
-        raise MissingRequiredField(f"{context}: record lacks START_TIME")
+    get = values.get
+    name, start, end = get("NAME"), get("START_TIME"), get("END_TIME")
+    if name is None:
+        raise MissingRequiredField(f"source '{cfg.source_id}': record lacks NAME")
+    if start is None:
+        raise MissingRequiredField(f"source '{cfg.source_id}': record lacks START_TIME")
+    zone = cfg.zone
+    start_time = parse_rfc3339(start, zone)
+    end_time = None if end is None else parse_rfc3339(end, zone)
 
-    zone = cfg.zone()
-    start_time = parse_rfc3339(str(values["START_TIME"]), default_tz=zone)
-    end_time = None
-    if "END_TIME" in values:
-        end_time = parse_rfc3339(str(values["END_TIME"]), default_tz=zone)
+    lat, lon, popularity = get("LAT"), get("LON"), get("POPULARITY")
+    if lat is not None:
+        lat = _as_float(lat, "LAT", cfg.source_id)
+    if lon is not None:
+        lon = _as_float(lon, "LON", cfg.source_id)
+    if popularity is not None:
+        popularity = _as_float(popularity, "POPULARITY", cfg.source_id)
 
-    lat = _as_float(values["LAT"], "LAT", context) if "LAT" in values else None
-    lon = _as_float(values["LON"], "LON", context) if "LON" in values else None
-    popularity = _as_float(values["POPULARITY"], "POPULARITY", context) if "POPULARITY" in values else None
-
-    address = Address(
-        street=_opt_str(values.get("ADDRESS_STREET")),
-        city=_opt_str(values.get("ADDRESS_CITY")),
-        region=_opt_str(values.get("ADDRESS_REGION")),
-        country=_opt_str(values.get("ADDRESS_COUNTRY")),
-        text=_opt_str(values.get("ADDRESS")),
-    )
-    raw_id = _opt_str(values.get("RAW_ID")) or _record_digest(raw)
-
-    return SocialEvent(
-        event_id=f"{cfg.source_id}/{raw_id}",
-        name=str(values["NAME"]),
-        start_time=start_time,
-        end_time=end_time,
-        lat=lat,
-        lon=lon,
-        venue=_opt_str(values.get("VENUE")),
-        address=None if address.is_empty() else address,
-        category=_opt_str(values.get("CATEGORY")),
-        popularity=popularity,
-        source_id=cfg.source_id,
-        raw_id=raw_id,
-    )
-
-
-def _opt_str(value) -> Optional[str]:
-    if value is None:
-        return None
-    text = str(value).strip()
-    return text or None
+    parts = (get("ADDRESS_STREET"), get("ADDRESS_CITY"), get("ADDRESS_REGION"),
+             get("ADDRESS_COUNTRY"), get("ADDRESS"))
+    address = None if parts == _NO_ADDRESS else Address._make(parts)
+    raw_id = get("RAW_ID") or _record_digest(raw)
+    return SocialEvent(f"{cfg.source_id}/{raw_id}", name, start_time, cfg.source_id, raw_id,
+                       end_time, lat, lon, get("VENUE"), address, get("CATEGORY"), popularity)
 
 
 # ---------------------------------------------------------------------------
@@ -548,7 +537,7 @@ def consolidate(event: SocialEvent, geocoder: GeocoderClient) -> SocialEvent:
         lat, lon, normalized = result
         address = event.address or Address()
         if address.text is None:
-            address = replace(address, text=normalized)
+            address = address._replace(text=normalized)
         return event._replace(lat=lat, lon=lon, address=address)
     if queries:
         logger.info("geocoding failed for event %s (%s)", event.event_id, queries[0])
@@ -780,37 +769,7 @@ def address_record(address: Optional[Address]) -> Optional[dict[str, str]]:
     """The canonical ADDRESS object: the parts that are set, or None when none is."""
     if address is None:
         return None
-    parts = (("STREET", address.street), ("CITY", address.city), ("REGION", address.region),
-             ("COUNTRY", address.country), ("TEXT", address.text))
-    return {key: value for key, value in parts if value is not None} or None
-
-
-def event_to_record(event: SocialEvent) -> dict:
-    """Serialize to the canonical uppercase-keyed JSON record. Absent fields are omitted."""
-    record: dict[str, object] = {
-        "EVENT_ID": event.event_id,
-        "NAME": event.name,
-        "START_TIME": format_rfc3339(event.start_time),
-    }
-    if event.end_time is not None:
-        record["END_TIME"] = format_rfc3339(event.end_time)
-    if event.lat is not None:
-        record["LAT"] = event.lat
-        record["LON"] = event.lon
-    if event.venue is not None:
-        record["VENUE"] = event.venue
-    address = address_record(event.address)
-    if address is not None:
-        record["ADDRESS"] = address
-    if event.category is not None:
-        record["CATEGORY"] = event.category
-    if event.popularity is not None:
-        record["POPULARITY"] = event.popularity
-    record["SOURCE_ID"] = event.source_id
-    record["RAW_ID"] = event.raw_id
-    if event.merge_notes:
-        record["MERGE_NOTES"] = list(event.merge_notes)
-    return record
+    return {key: part for key, part in zip(_ADDRESS_PARTS, address) if part is not None} or None
 
 
 # The JSON types a canonical record field may hold; NoneType is null, which
@@ -873,9 +832,51 @@ def event_from_record(record: dict, parse_time=parse_rfc3339) -> SocialEvent:
                        merge_notes)
 
 
+def _number(value) -> str:
+    """A LAT, LON or POPULARITY value (an int or a finite float) as JSON text."""
+    return float.__repr__(value) if isinstance(value, float) else int.__repr__(value)
+
+
 def write_events(events: Iterable[SocialEvent], path: str | Path) -> None:
-    lines = [json.dumps(event_to_record(e), ensure_ascii=False, allow_nan=False) for e in events]
-    atomic_write_text(path, "\n".join(lines) + ("\n" if lines else ""))
+    """Write the canonical event file, one line per event.
+
+    Each line is rendered straight from the event, byte for byte as
+    ``json.dumps(record, ensure_ascii=False)`` writes the event's canonical
+    record: EVENT_ID, NAME, START_TIME, END_TIME, LAT, LON, VENUE, ADDRESS
+    (the parts that are set), CATEGORY, POPULARITY, SOURCE_ID, RAW_ID and
+    MERGE_NOTES, absent fields left out. A time that several events share
+    is quoted once per call. The lines and those quoted times are dropped
+    once joined, so only the whole text is kept while it is written.
+    """
+    quoted_time = functools.lru_cache(maxsize=None)(
+        lambda time: encode_basestring(format_rfc3339(time)))
+    string = encode_basestring
+    lines = []
+    for (event_id, name, start_time, source_id, raw_id, end_time, lat, lon, venue, address,
+         category, popularity, merge_notes) in events:
+        line = (f'{{"EVENT_ID": {string(event_id)}, "NAME": {string(name)}, '
+                f'"START_TIME": {quoted_time(start_time)}')
+        if end_time is not None:
+            line += f', "END_TIME": {quoted_time(end_time)}'
+        if lat is not None:
+            line += f', "LAT": {_number(lat)}, "LON": {_number(lon)}'
+        if venue is not None:
+            line += f', "VENUE": {string(venue)}'
+        if address is not None and address != _NO_ADDRESS:
+            line += ', "ADDRESS": {' + ", ".join([
+                f'"{key}": {string(part)}'
+                for key, part in zip(_ADDRESS_PARTS, address) if part is not None]) + "}"
+        if category is not None:
+            line += f', "CATEGORY": {string(category)}'
+        if popularity is not None:
+            line += f', "POPULARITY": {_number(popularity)}'
+        line += f', "SOURCE_ID": {string(source_id)}, "RAW_ID": {string(raw_id)}'
+        if merge_notes:
+            line += ', "MERGE_NOTES": [' + ", ".join(map(string, merge_notes)) + "]"
+        lines.append(line + "}\n")
+    text = "".join(lines)
+    del lines, quoted_time
+    atomic_write_text(path, text)
 
 
 def _reject_constant(token: str):

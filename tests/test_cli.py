@@ -1,5 +1,6 @@
 """Command-line pipeline: stage handoffs, exit codes, reproducibility."""
 import json
+import logging
 import math
 import os
 import shutil
@@ -209,7 +210,7 @@ def test_ingest_partial_failure_warns(t1_dir, tmp_path):
     config["paths"]["kpis"] = str(t1_dir / "kpis.csv")
     path = tmp_path / "config.json"
     path.write_text(json.dumps(config))
-    # A fresh process: under pytest the log record goes to pytest's handlers, not stderr.
+    # A fresh process, as an operator runs the CLI.
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(Path(cli.__file__).parents[1]), env.get("PYTHONPATH", "")])
@@ -221,6 +222,57 @@ def test_ingest_partial_failure_warns(t1_dir, tmp_path):
     assert "warning" in result.stderr.lower()
     assert result.stderr.count("source 'broken' unreachable") == 1
     assert "fetched: 29" in result.stdout
+
+
+_UNREACHABLE = "WARNING eventcell.cli: source 'gone' unreachable"
+_GEOCODING = "INFO eventcell.ingest: geocoding failed for event feed/"
+
+
+def _logging_config(tmp_path) -> str:
+    """A config whose ingest logs a warning (an unreachable source) and, at
+    debug level, an info line (a venue the geocoder does not know)."""
+    (tmp_path / "feed.ndjson").write_text(
+        '{"n": "Concert", "t": "2017-03-01T20:00:00Z", "v": "Nowhere Hall"}\n', encoding="utf-8")
+    (tmp_path / "geocodes.csv").write_text("query,lat,lon,normalized_address\n", encoding="utf-8")
+    field_map = {"n": "NAME", "t": "START_TIME", "v": "VENUE"}
+    (tmp_path / "config.json").write_text(json.dumps({
+        "sources": [{"source_id": "feed", "locator": "feed.ndjson", "field_map": field_map},
+                    {"source_id": "gone", "locator": "missing.ndjson", "field_map": field_map}],
+        "geocoder": "geocodes.csv",
+        "filter": {"geo": {"box": [36.0, 37.0, -5.0, -4.0]},
+                   "time": {"start": "2017-03-01T00:00:00Z", "end": "2017-04-01T00:00:00Z"}},
+    }))
+    return str(tmp_path / "config.json")
+
+
+def test_logging_is_set_on_every_main_call(tmp_path, capsys):
+    """Each ``main`` call takes its level from --verbose and logs to the
+    stderr of the moment through one handler, whatever calls came before
+    and although pytest has configured logging."""
+    argv = ["ingest", "--config", _logging_config(tmp_path), "--out", str(tmp_path / "out")]
+    assert main(argv) == 0
+    err = capsys.readouterr().err
+    assert err.count(_UNREACHABLE) == 1 and _GEOCODING not in err
+    assert main(["--verbose", *argv]) == 0
+    err = capsys.readouterr().err
+    assert err.count(_UNREACHABLE) == 1 and err.count(_GEOCODING) == 1
+    assert main(argv) == 0
+    err = capsys.readouterr().err
+    assert err.count(_UNREACHABLE) == 1 and _GEOCODING not in err
+    assert len(logging.getLogger("eventcell").handlers) == 1
+
+
+def test_logging_under_python_m(tmp_path):
+    # run as __main__, the CLI module still logs under the package logger
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(Path(cli.__file__).parents[1]), env.get("PYTHONPATH", "")])
+    result = subprocess.run(
+        [sys.executable, "-m", "eventcell.cli", "--verbose", "ingest", "--config",
+         _logging_config(tmp_path), "--out", str(tmp_path / "out")],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
+    assert result.stderr.count(_UNREACHABLE) == 1 and result.stderr.count(_GEOCODING) == 1
 
 
 def test_missing_config_is_io_error(tmp_path):
@@ -912,6 +964,14 @@ def test_usage_exit_codes(t1_dir, funnel_dir, tmp_path, capsys, argv, code, stre
         assert captured.err.startswith("error: ")
     else:
         assert "error:" not in captured.err
+
+
+@pytest.mark.parametrize("command", ["associate", "analyze"])
+def test_events_help_names_the_files_read(command, capsys):
+    # _events_input reads filtered.ndjson when it exists, else events.ndjson
+    assert main([command, "--help"]) == 0
+    assert ("--events EVENTS_PATH Event file (default: <out>/filtered.ndjson, else "
+            "<out>/events.ndjson).") in " ".join(capsys.readouterr().out.split())
 
 
 # --- unreadable input ----------------------------------------------------------

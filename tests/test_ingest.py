@@ -8,12 +8,13 @@ import sys
 import threading
 import unicodedata
 from collections import Counter
-from dataclasses import dataclass, replace
-from datetime import datetime, timedelta
+from dataclasses import asdict, dataclass, is_dataclass, replace
+from datetime import datetime, timedelta, timezone
 from http.server import BaseHTTPRequestHandler, HTTPServer
 from pathlib import Path
 from types import SimpleNamespace
 from typing import Optional
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -48,9 +49,9 @@ from eventcell.ingest import (
     SocialEvent,
     SourceConfig,
     TimeScope,
+    address_record,
     consolidate,
     event_from_record,
-    event_to_record,
     fetch_raw,
     fuse_sources,
     normalize_text,
@@ -58,7 +59,7 @@ from eventcell.ingest import (
     read_events,
     write_events,
 )
-from eventcell.timeutil import parse_rfc3339
+from eventcell.timeutil import format_rfc3339, parse_rfc3339
 
 from conftest import T0, UTC, make_event, similarity
 
@@ -266,6 +267,30 @@ def test_parse_direct_mapping():
     assert event.end_time is None and event.lat is None
 
 
+def test_parse_builds_no_address_without_address_parts():
+    event = parse_record({"title": "Concert A", "when": "2017-03-01T20:00Z", "region": " "}, CFG)
+    assert event.address is None
+    event = parse_record({"title": "Concert A", "when": "2017-03-01T20:00Z",
+                          "region": " Costaluna "}, CFG)
+    assert event.address == Address(region="Costaluna") and type(event.address) is Address
+
+
+@pytest.mark.parametrize("field", ["lat", "tickets"])
+def test_parse_an_int_beyond_float_range_is_an_invariant_error(field):
+    record = {"title": "X", "when": "2017-03-01T20:00Z", "lat": 1, "lon": 2, field: 10**400}
+    with pytest.raises(InvariantError, match="is not numeric"):
+        parse_record(record, CFG)
+
+
+def test_source_config_keeps_its_zone_and_field_plan():
+    cfg = replace(CFG, timezone="+02:00")
+    assert cfg.zone == timezone(timedelta(hours=2)) and CFG.zone is UTC
+    assert cfg == replace(CFG, timezone="+02:00") and cfg != CFG
+    assert ("kind", "CATEGORY", False) in cfg.field_plan
+    assert ("lat", "LAT", True) in cfg.field_plan
+    assert [src for src, _, _ in cfg.field_plan] == list(CFG.field_map)
+
+
 def test_parse_missing_start():
     with pytest.raises(MissingRequiredField):
         parse_record({"title": "Concert A"}, CFG)
@@ -356,6 +381,26 @@ def test_consolidate_fills_normalized_text_when_absent():
     event = make_event(lat=None, lon=None, venue="Av. X 1, Malaga")
     resolved = consolidate(event, STUB)
     assert resolved.address.text == "Avenida X 1, Malaga"
+
+
+def test_consolidate_fills_text_into_the_parts_already_set():
+    event = make_event(lat=None, lon=None, venue="Av. X 1, Malaga",
+                       address=Address(street="Av. X 1", city="Malaga"))
+    resolved = consolidate(event, STUB)
+    assert type(resolved.address) is Address
+    assert resolved.address == Address("Av. X 1", "Malaga", text="Avenida X 1, Malaga")
+
+
+def test_address_is_a_named_tuple_not_a_dataclass():
+    # so dataclasses.replace and asdict cannot be used on one: _replace and
+    # _asdict are its ways to derive
+    address = Address(city="Malaga")
+    assert isinstance(address, tuple) and not is_dataclass(address)
+    with pytest.raises(TypeError):
+        replace(address, text="x")
+    with pytest.raises(TypeError):
+        asdict(address)
+    assert address._replace(text="x") == Address(city="Malaga", text="x")
 
 
 def test_consolidate_unresolvable_unchanged(caplog):
@@ -868,6 +913,71 @@ def test_fuse_end_time_conflicting_with_start_skipped():
 # ---------------------------------------------------------------------------
 # canonical round-trip
 # ---------------------------------------------------------------------------
+
+def event_to_record(event: SocialEvent) -> dict:
+    """The event's canonical record as a dict, absent fields left out: what
+    ``write_events`` renders each line from, as the stdlib encoder writes it."""
+    record: dict = {"EVENT_ID": event.event_id, "NAME": event.name,
+                    "START_TIME": format_rfc3339(event.start_time)}
+    if event.end_time is not None:
+        record["END_TIME"] = format_rfc3339(event.end_time)
+    if event.lat is not None:
+        record["LAT"] = event.lat
+        record["LON"] = event.lon
+    if event.venue is not None:
+        record["VENUE"] = event.venue
+    address = address_record(event.address)
+    if address is not None:
+        record["ADDRESS"] = address
+    if event.category is not None:
+        record["CATEGORY"] = event.category
+    if event.popularity is not None:
+        record["POPULARITY"] = event.popularity
+    record["SOURCE_ID"] = event.source_id
+    record["RAW_ID"] = event.raw_id
+    if event.merge_notes:
+        record["MERGE_NOTES"] = list(event.merge_notes)
+    return record
+
+
+# Text the renderer must escape as the stdlib does: quotes, backslashes,
+# control characters, U+2028/U+2029 (raw in JSON, line ends elsewhere) and
+# non-ASCII; no lone surrogate, which SocialEvent refuses.
+_RENDER_TEXT = st.text(st.characters(exclude_categories=("Cs",)) | st.sampled_from(
+    ['"', "\\", "\x00", "\x1f", "\x7f", "\n", "\u2028", "\u2029", "\x85", "é", "😍"]), max_size=8)
+_RENDER_LAT = st.floats(-90, 90) | st.integers(-90, 90) | st.sampled_from([-0.0, 5e-324, -90])
+_RENDER_LON = st.floats(-180, 180) | st.integers(-180, 180) | st.sampled_from([-0.0, 180.0])
+_RENDER_POPULARITY = (st.floats(0, 1e300) | st.integers(0, 10**400)
+                      | st.sampled_from([-0.0, 1e300, 1.7976931348623157e308, 10**30]))
+
+
+@st.composite
+def _rendered_events(draw):
+    """Events with every optional field absent or set, each ADDRESS part
+    subset, int and float numbers and times with and without microseconds."""
+    start = T0 + timedelta(microseconds=draw(st.sampled_from([0, 1, 999_999, 86_400 * 10**6])
+                                             | st.integers(0, 10**13)))
+    end = draw(st.none() | st.integers(1, 10**11).map(lambda us: start + timedelta(microseconds=us)))
+    lat, lon = draw(st.just((None, None)) | st.tuples(_RENDER_LAT, _RENDER_LON))
+    address = draw(st.none() | st.builds(Address, *[st.none() | _RENDER_TEXT] * 5))
+    return SocialEvent(
+        draw(_RENDER_TEXT), draw(_RENDER_TEXT), start, draw(_RENDER_TEXT), draw(_RENDER_TEXT),
+        end, lat, lon, draw(st.none() | _RENDER_TEXT), address, draw(st.none() | _RENDER_TEXT),
+        draw(st.none() | _RENDER_POPULARITY),
+        tuple(draw(st.lists(_RENDER_TEXT, max_size=3))))
+
+
+@settings(max_examples=300, deadline=None)
+@given(events=st.lists(_rendered_events(), max_size=4))
+def test_write_events_matches_the_stdlib_encoder(events):
+    written = {}
+    with mock.patch("eventcell.ingest.atomic_write_text",
+                    lambda path, text: written.update(text=text)):
+        write_events(events, "x")
+    assert written["text"] == "".join(
+        json.dumps(event_to_record(e), ensure_ascii=False, allow_nan=False) + "\n"
+        for e in events)
+
 
 def test_record_round_trip():
     event = make_event(
