@@ -18,7 +18,6 @@ import math
 import operator
 from dataclasses import dataclass, replace
 from datetime import datetime, timedelta
-from itertools import repeat
 from pathlib import Path
 from typing import Iterable, Optional, Sequence
 
@@ -400,21 +399,40 @@ def load_kpis(path: str | Path, cell_id: Optional[str] = None) -> list[KpiSeries
     return series_list
 
 
-def write_kpis(series_list: Iterable[KpiSeries], path: str | Path) -> None:
-    """Write series in the long CSV format; NaN samples keep their row with an empty value."""
+def _csv_line(fields: Sequence[str]) -> str:
+    """One CSV row as ``csv.writer`` writes it, quotes and ``\\r\\n`` included."""
     buffer = io.StringIO()
-    writer = csv.writer(buffer)
-    writer.writerow(KPI_COLUMNS)
+    csv.writer(buffer).writerow(fields)
+    return buffer.getvalue()
+
+
+def write_kpis(series_list: Iterable[KpiSeries], path: str | Path) -> None:
+    """Write series in the long CSV format; NaN samples keep their row with an empty value.
+
+    The text is what ``csv.writer`` would write row by row, rendered a series
+    at a time: the cell id and metric are quoted once, each grid's timestamps
+    are formatted once, and the values come from one ``repr`` of the series'
+    list, whose items are ``float.__repr__`` texts. An infinite value is
+    refused before anything is written.
+    """
+    chunks = [_csv_line(KPI_COLUMNS)]
     grids: dict[tuple[datetime, timedelta, int], list[str]] = {}  # series share sample times
     for series in sorted(series_list, key=lambda s: (s.cell_id, s.metric)):
-        grid = (series.epoch0, series.period, len(series.values))
+        values = np.asarray(series.values, dtype=float)
+        infinite = np.isinf(values)
+        if infinite.any():
+            raise InvariantError(f"{series.cell_id}/{series.metric}: value "
+                                 f"{values[infinite][0]} is not finite")
+        grid = (series.epoch0, series.period, len(values))
         stamps = grids.get(grid)
         if stamps is None:
-            stamps = grids[grid] = [format_rfc3339(series.sample_time(k)) for k in range(grid[2])]
-        texts = ["" if v != v else repr(v)
-                 for v in np.asarray(series.values, dtype=float).tolist()]
-        writer.writerows(zip(repeat(series.cell_id), repeat(series.metric), stamps, texts))
-    atomic_write_text(path, buffer.getvalue())
+            stamps = grids[grid] = [format_rfc3339(series.sample_time(k)) + ","
+                                    for k in range(grid[2])]
+        prefix = _csv_line((series.cell_id, series.metric))[:-2] + ","
+        # No float repr but NaN's holds "nan", so this empties exactly the NaN items.
+        texts = repr(values.tolist())[1:-1].replace("nan", "").split(", ")
+        chunks.append(prefix + ("\r\n" + prefix).join(map(operator.add, stamps, texts)) + "\r\n")
+    atomic_write_text(path, "".join(chunks))
 
 
 # ---------------------------------------------------------------------------
@@ -454,9 +472,15 @@ def normalize_periodic(series: KpiSeries, period_hint: str = "hour_of_week") -> 
             f"{series.cell_id}/{series.metric}: {len(series.values) * series.period} "
             f"covers less than two {period_hint} cycles"
         )
-    baseline = np.full(CYCLE_HOURS[period_hint], np.nan)
-    for slot in range(len(baseline)):
-        members = series.values[(slots == slot) & ~np.isnan(series.values)]
-        if members.size:
-            baseline[slot] = float(np.median(members))
+    present = ~np.isnan(series.values)
+    keys, values = slots[present], series.values[present]
+    ordered = values[np.lexsort((values, keys))]  # by slot, then by value
+    counts = np.bincount(keys, minlength=CYCLE_HOURS[period_hint])
+    filled = counts > 0
+    low = (np.cumsum(counts) - counts // 2 - 1)[filled]  # each slot's lower middle index
+    even = counts[filled] % 2 == 0
+    median = ordered[low]  # an odd count's middle value itself: (a + a) / 2 may overflow
+    median[even] = (median[even] + ordered[low[even] + 1]) / 2
+    baseline = np.full(len(counts), np.nan)
+    baseline[filled] = median
     return replace(series, values=series.values - baseline[slots])

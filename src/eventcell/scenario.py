@@ -27,14 +27,22 @@ from .timeutil import UTC, format_rfc3339
 
 _MASK64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
+_SCALAR_BLOCK = 64  # uniforms one numpy call serves to scalar draws
 
 
 class CounterRng:
-    """SplitMix64 in counter mode; all draws derive from (seed, counter)."""
+    """SplitMix64 in counter mode; all draws derive from (seed, counter).
+
+    Scalar draws take draw ``counter`` from a block of ``uniforms`` computed
+    ahead at the same indexes, so each costs no numpy call of its own; the
+    counter moves as if they had called ``uniforms(1)``.
+    """
 
     def __init__(self, seed: int):
         self._seed = np.uint64(seed & _MASK64)
         self._counter = 0
+        self._block: list[float] = []  # uniforms at counter indexes _block_at, _block_at + 1, ...
+        self._block_at = 0
 
     def _raw(self, n: int) -> np.ndarray:
         idx = np.arange(self._counter + 1, self._counter + n + 1, dtype=np.uint64)
@@ -49,12 +57,21 @@ class CounterRng:
         """n doubles in (0, 1]."""
         return ((self._raw(n) >> np.uint64(11)).astype(np.float64) + 1.0) * 2.0 ** -53
 
+    def _scalar(self) -> float:
+        """The next uniform, equal to ``uniforms(1)[0]``."""
+        k = self._counter - self._block_at
+        if k >= len(self._block):
+            self._block_at, k = self._counter, 0
+            self._block = self.uniforms(_SCALAR_BLOCK).tolist()
+        self._counter = self._block_at + k + 1
+        return self._block[k]
+
     def uniform(self, low: float = 0.0, high: float = 1.0) -> float:
-        return float(low + self.uniforms(1)[0] * (high - low))
+        return low + self._scalar() * (high - low)
 
     def randint(self, low: int, high: int) -> int:
         """Integer in [low, high] inclusive."""
-        return min(high, low + int(self.uniforms(1)[0] * (high - low + 1)))
+        return min(high, low + int(self._scalar() * (high - low + 1)))
 
     def normals(self, n: int) -> np.ndarray:
         """n standard normals via Box-Muller on consecutive uniform pairs."""
@@ -80,10 +97,17 @@ class MetricSpec:
     noise_sigma: float = 0.0
 
     def __post_init__(self):
+        # load_kpis strips names and reads one line per row, so no other name round-trips
+        name = self.name
+        if not name or name != name.strip() or "\r" in name or "\n" in name:
+            raise SpecError(f"metric {name!r}: a name must be non-empty, without CR, LF "
+                            f"or leading or trailing whitespace")
         if len(self.daily_profile) != 24:
             raise SpecError(f"metric {self.name}: daily_profile needs 24 values")
-        if self.noise_sigma < 0:
-            raise SpecError(f"metric {self.name}: negative noise sigma")
+        if not all(map(math.isfinite, self.daily_profile)):
+            raise SpecError(f"metric {self.name}: daily_profile values must be finite")
+        if not 0 <= self.noise_sigma < math.inf:  # also rejects NaN
+            raise SpecError(f"metric {self.name}: noise sigma must be finite and >= 0")
 
 
 @dataclass(frozen=True)
@@ -105,8 +129,12 @@ class InjectedEventSpec:
     category: Optional[str] = None
 
     def __post_init__(self):
-        if any(a < 0 for a in self.amplitudes.values()):
-            raise SpecError(f"event at {self.venue}: amplitudes must be >= 0")
+        if not all(0 <= a < math.inf for a in self.amplitudes.values()):  # also rejects NaN
+            raise SpecError(f"event at {self.venue}: amplitudes must be finite and >= 0")
+        placement = (self.lat, self.lon, self.anchor_bearing_deg, self.anchor_distance_km)
+        if not all(math.isfinite(v) for v in placement if v is not None):
+            raise SpecError(f"event at {self.venue}: lat, lon, anchor bearing and distance "
+                            f"must be finite")
         explicit = self.lat is not None and self.lon is not None
         if explicit == (self.anchor_site is not None):
             raise SpecError(f"event at {self.venue}: set either lat/lon or an anchor site")
@@ -126,6 +154,8 @@ class DecoySpec:
             raise SpecError(f"unknown decoy placement {self.placement!r}")
         if self.count < 0 or self.events_per_venue < 1:
             raise SpecError("decoy count must be >= 0 and events_per_venue >= 1")
+        if not math.isfinite(self.min_km_from_sites):
+            raise SpecError("decoy min_km_from_sites must be finite")
 
 
 @dataclass(frozen=True)

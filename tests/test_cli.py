@@ -3,6 +3,7 @@ import json
 import logging
 import math
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -165,6 +166,68 @@ def test_simulate_spec_overflowing_duration_exits_1(tmp_path):
     spec_path = tmp_path / "spec.json"
     spec_path.write_text(json.dumps(spec))
     assert main(["simulate", "--spec", str(spec_path), "--out", str(tmp_path / "out")]) == 1
+
+
+def _simulate_spec(tmp_path, metric="NUM_DROPS", profile=tuple(range(24)), sigma=0.5,
+                   **event):
+    """Run simulate on a one-metric spec with one injected event (``event``
+    overrides its keys); return the exit code."""
+    spec = {
+        "seed": 1, "n_sites": 2, "area": [36.6, 36.8, -4.6, -4.4], "days": 3,
+        "metrics": [{"name": metric, "daily_profile": list(profile), "noise_sigma": sigma}],
+        "injected_events": [{**_SPEC_EVENT, "amplitudes": {metric: 5.0}, **event}],
+    }
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps(spec))  # NaN and Infinity as JSON's loader takes them
+    return main(["simulate", "--spec", str(spec_path), "--out", str(tmp_path / "out")])
+
+
+@pytest.mark.parametrize("name", ["", " NUM_DROPS", "NUM_DROPS ", "NUM_DROPS\t", "A\nB",
+                                  "A\rB", "\u00a0X"])
+def test_simulate_refuses_metric_names_that_cannot_round_trip(tmp_path, capsys, name):
+    assert _simulate_spec(tmp_path, metric=name) == 1
+    assert f"error: metric {name!r}: a name must be non-empty" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_metric_names_that_need_quotes_round_trip(tmp_path):
+    for k, name in enumerate(['NUM,DROPS', 'say "hi"', "Durchsatz Ü"]):
+        directory = tmp_path / str(k)
+        directory.mkdir()
+        assert _simulate_spec(directory, metric=name) == 0
+        series = load_kpis(directory / "out" / "kpis.csv")
+        assert {s.metric for s in series} == {name}
+        config = json.loads((directory / "out" / "config.json").read_text(encoding="utf-8"))
+        assert config["metrics"] == [name]
+
+
+_PLACEMENT = "event at V: lat, lon, anchor bearing and distance must be finite"
+
+
+@pytest.mark.parametrize("options, message", [
+    ({"profile": (1.0,) * 23 + (math.inf,)}, "metric NUM_DROPS: daily_profile values must be"),
+    ({"profile": (math.nan,) + (1.0,) * 23}, "metric NUM_DROPS: daily_profile values must be"),
+    ({"sigma": math.nan}, "metric NUM_DROPS: noise sigma must be finite and >= 0"),
+    ({"sigma": math.inf}, "metric NUM_DROPS: noise sigma must be finite and >= 0"),
+    ({"amplitudes": {"NUM_DROPS": math.nan}}, "event at V: amplitudes must be finite and >= 0"),
+    ({"amplitudes": {"NUM_DROPS": math.inf}}, "event at V: amplitudes must be finite and >= 0"),
+    ({"anchor_bearing_deg": math.inf}, _PLACEMENT),
+    ({"anchor_distance_km": -math.inf}, _PLACEMENT),
+    ({"anchor_site": None, "lat": math.inf, "lon": -4.5}, _PLACEMENT),
+])
+def test_simulate_refuses_non_finite_spec_numbers(tmp_path, capsys, options, message):
+    assert _simulate_spec(tmp_path, **options) == 1
+    assert f"error: {message}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_simulate_refuses_a_kpi_sum_that_overflows(tmp_path, capsys):
+    # Finite spec numbers whose sum at the event's peak is beyond float range.
+    assert _simulate_spec(tmp_path, profile=(1.7e308,) * 24, sigma=0.0,
+                          amplitudes={"NUM_DROPS": 1.7e308}) == 1
+    assert re.search(r"error: CELL_\w+/NUM_DROPS: value inf is not finite",
+                     capsys.readouterr().err)
+    assert not (tmp_path / "out" / "kpis.csv").exists()
 
 
 def test_simulate_needs_exactly_one_input(tmp_path):

@@ -725,9 +725,17 @@ _SPECIAL_VALUES = [np.nan, -0.0, 0.0, -1.5, 1e308, -1.7976931348623157e308, 5e-3
                    0.1, 123456789.125, 3.0]
 
 
+# Cell ids and metrics: plain, needing quotes (comma, quote, CR, LF), padded,
+# empty, non-ASCII, or any text without a lone surrogate (UTF-8 cannot hold one).
+_SERIES_NAMES = st.one_of(
+    st.sampled_from(["C1", "C2", "M", "NUM DROPS", "a,b", 'q"x', '"', "cr\rlf\n", "l\r\nf",
+                     " pad ", "\tX", "", "Ümlaut,é", "\u00a0nbsp", "日本"]),
+    st.text(st.characters(blacklist_categories=("Cs",)), max_size=8))
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.lists(
-    st.tuples(st.sampled_from(["C1", "C2", "a,b", 'q"x']), st.sampled_from(["M", "NUM DROPS"]),
+    st.tuples(_SERIES_NAMES, _SERIES_NAMES,
               st.sampled_from(_GRID_EPOCHS),
               st.sampled_from([timedelta(microseconds=1), timedelta(seconds=0.5),
                                timedelta(minutes=15), timedelta(hours=1)]),
@@ -741,6 +749,15 @@ def test_write_kpis_matches_reference(tmp_path_factory, specs):
     write_kpis(series, directory / "new.csv")
     _reference_write_kpis(series, directory / "reference.csv")
     assert (directory / "new.csv").read_bytes() == (directory / "reference.csv").read_bytes()
+
+
+@pytest.mark.parametrize("bad", [math.inf, -math.inf])
+def test_write_kpis_refuses_infinite_values_and_writes_nothing(tmp_path, bad):
+    good = hourly_series([1.0, 2.0], cell_id="C1")
+    overflowed = hourly_series([1.0, np.nan, bad], cell_id="C2", metric="M")
+    with pytest.raises(InvariantError, match=f"^C2/M: value {bad} is not finite$"):
+        write_kpis([good, overflowed], tmp_path / "kpis.csv")
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_series_index_arithmetic():
@@ -818,6 +835,45 @@ def test_reconstruct_matches_original():
     series = hourly_series(values)
     normalized = normalize_periodic(series, "hour_of_day")
     _assert_slot_median_baseline(series, normalized.values, "hour_of_day", 24)
+
+
+def _reference_normalize_periodic(series, kind):
+    """The residuals as ``normalize_periodic`` once computed them: one
+    ``np.median`` call per slot over its present samples."""
+    slots = slot_indices(series.epoch0, series.period, len(series.values), kind)
+    baseline = np.full(CYCLE_HOURS[kind], np.nan)
+    for slot in range(len(baseline)):
+        members = series.values[(slots == slot) & ~np.isnan(series.values)]
+        if members.size:
+            baseline[slot] = float(np.median(members))
+    return series.values - baseline[slots]
+
+
+_MEDIAN_VALUES = st.one_of(
+    st.sampled_from([np.nan, -0.0, 0.0, 1.0, -1.0, 9e307, 1.7e308, -1.7e308, 5e-324]),
+    st.floats(allow_nan=False, allow_infinity=False))
+
+
+@settings(max_examples=200, deadline=None)
+@given(kind=st.sampled_from(list(CYCLE_HOURS)), data=st.data())
+def test_normalize_periodic_matches_median_loop(kind, data):
+    # Two to three cycles of samples from an epoch off the hour, one to four
+    # per hour, each picked from a small pool so that slots hold ties; some
+    # slots lose every sample, so their baseline stays NaN.
+    per_hour = data.draw(st.sampled_from([1, 2, 4]))
+    cycle = CYCLE_HOURS[kind] * per_hour
+    pool = np.array(data.draw(st.lists(_MEDIAN_VALUES, min_size=1, max_size=8)))
+    pick = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    values = pool[pick.integers(len(pool), size=data.draw(st.integers(2 * cycle, 3 * cycle)))]
+    epoch0 = T0 + timedelta(minutes=data.draw(st.integers(0, 7 * 24 * 60)))
+    series = KpiSeries("C1", "M", epoch0, timedelta(hours=1) / per_hour, values)
+    slots = slot_indices(epoch0, series.period, len(values), kind)
+    empty = data.draw(st.sets(st.integers(0, CYCLE_HOURS[kind] - 1), max_size=3))
+    values[np.isin(slots, list(empty))] = np.nan
+    with np.errstate(over="ignore"):  # two middle values above 8.99e307 sum to inf
+        expected = _reference_normalize_periodic(series, kind)
+        got = normalize_periodic(series, kind).values
+    np.testing.assert_array_equal(got, expected)
 
 
 def _slot_oracle(ts, kind):

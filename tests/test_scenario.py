@@ -6,6 +6,7 @@ from datetime import datetime, timedelta, timezone
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from eventcell.association import (
     associate_geographic,
@@ -73,6 +74,42 @@ def test_rng_randint_range():
     rng = CounterRng(3)
     draws = [rng.randint(2, 5) for _ in range(500)]
     assert set(draws) == {2, 3, 4, 5}
+
+
+class _PerDrawRng(CounterRng):
+    """Scalar draws as they were before a block served them: one
+    ``uniforms(1)`` call each."""
+
+    def uniform(self, low=0.0, high=1.0):
+        return float(low + self.uniforms(1)[0] * (high - low))
+
+    def randint(self, low, high):
+        return min(high, low + int(self.uniforms(1)[0] * (high - low + 1)))
+
+
+_BOUND = st.floats(-1e6, 1e6)
+_RNG_CALLS = st.one_of(
+    st.tuples(st.just("uniform"), _BOUND, _BOUND),
+    st.tuples(st.just("randint"), st.integers(-1000, 1000), st.integers(0, 1000))
+    .map(lambda call: (call[0], call[1], call[1] + call[2])),
+    st.tuples(st.sampled_from(["uniforms", "normals"]), st.integers(1, 150)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.one_of(st.sampled_from([0, 2**64 - 1, -1, -(2**63), 2**64]),
+                      st.integers(-(2**70), 2**70)),
+       calls=st.lists(st.one_of(_RNG_CALLS, st.just(("uniform",))), max_size=200))
+def test_scalar_draws_match_uniforms_at_the_counter(seed, calls):
+    # Runs of scalar draws cross block edges; array draws in between move the
+    # counter inside, to the end of, or past the current block.
+    rng, oracle = CounterRng(seed), _PerDrawRng(seed)
+    for name, *args in calls:
+        got, expected = getattr(rng, name)(*args), getattr(oracle, name)(*args)
+        if name in ("uniforms", "normals"):
+            np.testing.assert_array_equal(got, expected)
+        else:
+            assert type(got) is type(expected) and got == expected
+    np.testing.assert_array_equal(rng.uniforms(3), oracle.uniforms(3))
 
 
 # --- generic generator -------------------------------------------------------
@@ -174,6 +211,8 @@ def test_spec_validation():
         InjectedEventSpec("v", START, timedelta(hours=1), {"M": -1.0}, lat=1.0, lon=1.0)
     with pytest.raises(SpecError):
         InjectedEventSpec("v", START, timedelta(hours=1), {"M": 1.0})  # no placement
+    with pytest.raises(SpecError, match="min_km_from_sites must be finite"):
+        DecoySpec(placement="far", min_km_from_sites=float("nan"))
     with pytest.raises(SpecError):
         build(
             replace(
