@@ -110,15 +110,20 @@ def bearing_offsets(cells: Sequence[Cell], site: Site, point: tuple[float, float
 
 # Events per distance matrix; bounds the matrix at 128 x len(sites) floats.
 _CHUNK_EVENTS = 128
-# ``distances_km`` evaluates ``haversine_km``'s formula with numpy's sin, cos
-# and arctan2, which may differ from math's by a few ulps (SIMD builds promise
-# 4). With each factor of h = sin^2(dlat/2) + cos lat1 cos lat2 sin^2(dlon/2)
-# off by at most 5 ulps, h (at most 1) moves by |dh| < 5e-15. Since
-# d = 2 R asin(sqrt h) and |asin(sqrt a) - asin(sqrt b)| <= (pi / 2) sqrt|a - b|
-# on [0, 1] (by Jordan's inequality), the two distances differ by at most
-# pi R sqrt|dh| < 1.5e-3 km anywhere on the sphere. The sqrt is what
-# amplifies rounding near the antipode, h ~ 1; elsewhere they agree to about
-# 1e-11 km. A 10 m margin leaves ample slack and admits few extra sites.
+# ``distances_km`` takes h = sin^2(d / 2) as (1 - p.q) / 2 from unit vectors
+# built with numpy's sin and cos, which may be off by 4 ulps (8 eps relative,
+# eps = 2^-53). Each coordinate, a product of two of them, is then off by at
+# most 17 eps relative, each p_i q_i by 35 eps, and since sum |p_i q_i| <= 1
+# the three-term dot product by 37 eps; 1 - p.q adds 2 eps and halving is
+# exact, so h is off by less than 20 eps < 2.3e-15. ``haversine_km``'s h,
+# with each factor of sin^2(dlat/2) + cos lat1 cos lat2 sin^2(dlon/2) off by
+# a few ulps, is off by less than 5e-15, so the two h differ by less than
+# 7.3e-15. Since d = 2 R asin(sqrt h) and |asin(sqrt a) - asin(sqrt b)| <=
+# (pi / 2) sqrt|a - b| on [0, 1] (by Jordan's inequality), the two distances
+# differ by at most pi R sqrt|dh| < 1.8e-3 km anywhere on the sphere (arctan2
+# and sqrt add a few ulps, under 1e-10 km). The sqrt amplifies rounding
+# where h is near 0, from the cancellation in 1 - p.q, and near 1. A 10 m
+# margin leaves ample slack and admits few extra sites.
 _PRUNE_MARGIN_KM = 0.01
 
 

@@ -87,7 +87,16 @@ _RECORD_TEXT = """{
 
 def _rounded(value: float) -> str:
     """``round(value, 6)`` as JSON text; like the stdlib encoder under
-    ``allow_nan=False``, a non-finite value raises ``ValueError``."""
+    ``allow_nan=False``, a non-finite value raises ``ValueError``.
+
+    For 1e-4 <= |value| < 1e9 this is ``'%.6f' % value`` without trailing
+    zeros past the first decimal: ``round`` takes the same correctly rounded
+    six-decimal text, and below 2**32 an ulp is under 1e-6, so no shorter
+    text reads back as the same float and ``repr`` gives that text too.
+    """
+    if 1e-4 <= abs(value) < 1e9:
+        text = ("%.6f" % value).rstrip("0")
+        return text + "0" if text[-1] == "." else text
     value = round(value, 6)
     if not math.isfinite(value):
         raise ValueError(f"Out of range float values are not JSON compliant: {value!r}")
@@ -393,9 +402,14 @@ def cmd_analyze(config_path: str, cell_id: str, events_path: Optional[str],
         raise ConfigError(f"no KPI series for cell {cell_id!r}")
     if config.metrics:
         chosen = [s for s in kpis if s.metric in config.metrics]
+        present = sorted({s.metric for s in kpis})
         if not chosen:
             raise ConfigError(f"no KPI series for cell {cell_id!r} among the configured metrics "
-                              f"{config.metrics}; it has {sorted({s.metric for s in kpis})}")
+                              f"{config.metrics}; it has {present}")
+        missing = [metric for metric in config.metrics if metric not in present]
+        if missing:
+            logger.warning("no KPI series for cell %r under the configured metrics %s; "
+                           "it has %s", cell_id, missing, present)
         kpis = chosen
 
     source = _events_input(out_dir, events_path)
@@ -502,9 +516,24 @@ def _parser() -> _Parser:
 
 class _StderrHandler(logging.StreamHandler):
     """Writes to ``sys.stderr`` as it is at each record, not as it was when
-    the handler was made, so a host that swaps the stream gets the lines."""
+    the handler was made, so a host that swaps the stream gets the lines.
+
+    A record that propagates to a root handler writing to that stream at
+    its level (``logging.basicConfig()`` makes one) is left to it, so the
+    line is printed once; records still propagate, so a host's other
+    handlers see them all."""
 
     stream = property(lambda self: sys.stderr, lambda self, value: None)
+
+    def emit(self, record: logging.LogRecord) -> None:
+        source = logging.getLogger(record.name)
+        while source.propagate and source.parent is not None:
+            source = source.parent
+        if source is logging.root and any(
+                getattr(handler, "stream", None) is sys.stderr and record.levelno >= handler.level
+                for handler in source.handlers):
+            return
+        super().emit(record)
 
 
 _LOG_HANDLER = _StderrHandler()

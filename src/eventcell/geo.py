@@ -32,22 +32,32 @@ def haversine_km(a: Point, b: Point) -> float:
     return EARTH_RADIUS_KM * 2.0 * math.atan2(math.sqrt(h), math.sqrt(1.0 - h))
 
 
+def _unit_vectors(lat, lon) -> np.ndarray:
+    """Rows of (x, y, z) unit vectors for 1-d (lat, lon) arrays in degrees."""
+    import numpy as np
+
+    lat = np.radians(np.asarray(lat, dtype=float))
+    lon = np.radians(np.asarray(lon, dtype=float))
+    cos_lat = np.cos(lat)
+    return np.stack((cos_lat * np.cos(lon), cos_lat * np.sin(lon), np.sin(lat)), axis=1)
+
+
 def distances_km(lat, lon, site_lat, site_lon) -> np.ndarray:
-    """Matrix of ``haversine_km`` distances, events (rows) by sites (columns),
+    """Matrix of great-circle distances, events (rows) by sites (columns),
     from 1-d coordinate arrays in degrees.
 
-    Same formula and clamp as ``haversine_km``, but numpy's ``sin``, ``cos``
-    and ``arctan2`` may differ from ``math``'s in the last ulps, so these
-    values only prune candidates; no caller writes or compares them.
+    With unit vectors p and q, ``haversine_km``'s h = sin^2(d / 2) is
+    (1 - p.q) / 2, so the matrix takes one product of an (events x 3) by a
+    (3 x sites) array and no trigonometry per entry. ``1 - p.q`` cancels
+    near zero distance, so these values may differ from ``haversine_km``'s
+    by up to 1.8e-3 km (derived at ``association._PRUNE_MARGIN_KM``): they
+    only prune candidates; no caller writes or compares them.
     """
     import numpy as np  # only association needs it, so filtering starts without numpy
 
-    lat1 = np.radians(np.asarray(lat, dtype=float))[:, None]
-    lon1 = np.radians(np.asarray(lon, dtype=float))[:, None]
-    lat2 = np.radians(np.asarray(site_lat, dtype=float))[None, :]
-    lon2 = np.radians(np.asarray(site_lon, dtype=float))[None, :]
-    h = np.sin((lat2 - lat1) / 2) ** 2 + np.cos(lat1) * np.cos(lat2) * np.sin((lon2 - lon1) / 2) ** 2
-    np.minimum(h, 1.0, out=h)
+    h = 1.0 - _unit_vectors(lat, lon) @ _unit_vectors(site_lat, site_lon).T
+    h *= 0.5
+    np.clip(h, 0.0, 1.0, out=h)
     return EARTH_RADIUS_KM * 2.0 * np.arctan2(np.sqrt(h), np.sqrt(1.0 - h))
 
 

@@ -192,6 +192,41 @@ def _candidates(run: bytes, view: np.ndarray, ends: np.ndarray, width: int,
     return np.flatnonzero(picked)
 
 
+def _regular_candidates(run: bytes, view: np.ndarray, width: int, column: int,
+                        needle: bytes) -> Optional[tuple[np.ndarray, np.ndarray]]:
+    """The line ends of ``run`` and the indexes of the lines the row loop
+    must parse, if every line ends at LF (CR LF included) and has exactly
+    ``width - 1`` commas; else None.
+
+    Then the separators (commas and LFs) form a grid of ``width`` per line,
+    which gives the start of each line's field ``column`` directly. A line
+    is picked if that field starts with ``needle``, starts with a byte that
+    ``strip()`` may remove (at most 0x20, or a UTF-8 lead byte), or the line
+    holds a quote; any other line is a quote-free row of full width whose
+    field, stripped, is not ``needle``.
+    """
+    if run[-1] != 10 or (b"\r" in run and run.count(b"\r") != run.count(b"\r\n")):
+        return None
+    lf = view == 10
+    seps = np.flatnonzero(lf | (view == 44))
+    ends = seps[width - 1::width]
+    # n LFs in all, each the width-th separator of its line: no line is short or long
+    if (len(seps) != width * len(ends) or np.count_nonzero(lf) != len(ends)
+            or not np.all(view[ends] == 10)):
+        return None
+    starts = seps[column - 1::width] + 1 if column else np.concatenate(([0], ends[:-1] + 1))
+    first = view[starts]
+    picked = (first <= 0x20) | (first >= 0x80)
+    if len(needle) <= len(run):
+        # each byte offset as the start of a len(needle)-byte window of run; a
+        # field too near the end reads the last window, at worst a needless pick
+        windows = np.ndarray((len(run) - len(needle) + 1,), f"V{len(needle)}", run, 0, (1,))
+        picked |= windows[np.minimum(starts, len(windows) - 1)] == np.void(needle)
+    if b'"' in run:
+        picked[np.searchsorted(ends, np.flatnonzero(view == 34))] = True
+    return ends, np.flatnonzero(picked)
+
+
 def _split_line(line: str) -> Optional[list[str]]:
     """The fields of one CSV line, or None for a blank or comment line."""
     head = line.lstrip()
@@ -209,16 +244,24 @@ def _csv_rows(path: str | Path, columns: Sequence[str], match: Optional[str] = N
     Each physical line is parsed on its own, so an unterminated quote fails
     its own row rather than swallowing the next one. The file is scanned in
     blocks of ``_BLOCK_BYTES``, each checked as UTF-8 as a whole, and only
-    the lines ``_candidates`` picks are decoded and split. With ``match``,
-    only rows whose first named column, stripped, equals it are yielded;
-    every row's column count is still checked. A quote-free line holds its
-    fields as substrings, so one that does not contain ``match`` is skipped
-    on its raw bytes. Lines holding a quote are split as usual, since
-    ``csv`` reads ``"S0"26C`` as ``S026C``.
+    the lines the scan picks are decoded and split. With ``match``, only
+    rows whose first named column, stripped, equals it are yielded; every
+    row's column count is still checked. A quote-free line holds its fields
+    as substrings, so one that cannot hold ``match`` is skipped on its raw
+    bytes. Lines holding a quote are split as usual, since ``csv`` reads
+    ``"S0"26C`` as ``S026C``.
+
+    With ``match``, a block after the header whose lines all end at LF or
+    CR LF and hold the header's comma count is regular: one pass over its
+    separators places each line's first named column, and
+    ``_regular_candidates`` picks the lines whose field there may be
+    ``match``. Any other block (a comment, blank, short or long line, or a
+    lone CR) goes through ``_line_ends`` and ``_candidates``, which pick the
+    short lines and those holding ``match`` anywhere.
     """
     needle = None if match is None else match.encode("utf-8", "surrogatepass")
     header = None
-    width = 0  # the header's column count, once it is read
+    width = column = 0  # the header's column count and index of columns[0], once it is read
     lineno = 0  # lines before the current run
     try:
         with open(path, "rb") as handle:
@@ -229,8 +272,12 @@ def _csv_rows(path: str | Path, columns: Sequence[str], match: Optional[str] = N
                     run.decode("utf-8")  # a bad byte fails the read in any row
                 while run:
                     view = np.frombuffer(run, np.uint8)
-                    ends = _line_ends(run, view)
-                    picked = _candidates(run, view, ends, width, needle)
+                    scan = (_regular_candidates(run, view, width, column, needle)
+                            if width and needle else None)
+                    if scan is None:
+                        ends = _line_ends(run, view)
+                        scan = ends, _candidates(run, view, ends, width, needle)
+                    ends, picked = scan
                     bounds = np.concatenate(([0], ends + 1))  # line k is bounds[k]:bounds[k + 1]
                     rest = b""
                     for k, start, stop in zip(picked.tolist(), bounds[picked].tolist(),
@@ -244,7 +291,7 @@ def _csv_rows(path: str | Path, columns: Sequence[str], match: Optional[str] = N
                             if missing:
                                 raise SchemaError(f"{path}: missing columns {missing}")
                             pick = operator.itemgetter(*(header.index(name) for name in columns))
-                            width = len(header)
+                            width, column = len(header), header.index(columns[0])
                             rest = run[stop:]  # pick its lines by the header's width
                             lineno += k + 1
                             break

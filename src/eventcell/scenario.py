@@ -220,8 +220,15 @@ class FixtureBundle:
     config: dict
 
     def write(self, out_dir: str | Path) -> list[Path]:
+        """Write the bundle's files into ``out_dir``; return their paths.
+
+        The KPI file goes first: ``write_kpis`` refuses an infinite value
+        before it writes, so a refused bundle leaves no file behind."""
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
+        kpi_path = out / "kpis.csv"
+        if self.series:
+            write_kpis(self.series, kpi_path)
         written = []
         events_path = out / "events.ndjson"
         lines = [json.dumps(r, ensure_ascii=False) for r in self.records]
@@ -232,8 +239,6 @@ class FixtureBundle:
             save_topology(self.sites, self.cells, topology_path)
             written.append(topology_path)
         if self.series:
-            kpi_path = out / "kpis.csv"
-            write_kpis(self.series, kpi_path)
             written.append(kpi_path)
         truth_path = out / "ground_truth.json"
         atomic_write_text(truth_path, json.dumps(self.ground_truth, indent=2) + "\n")
@@ -413,7 +418,8 @@ def build(spec: ScenarioSpec) -> FixtureBundle:
             bump = amplitude * np.exp(-((sample_index - mu) ** 2) / (2.0 * sigma * sigma))
             for cell_id in causal:
                 key = (cell_id, metric_name)
-                bump_by_cell_metric[key] = bump_by_cell_metric.get(key, 0.0) + bump
+                with np.errstate(over="ignore"):  # inf, refused by write_kpis like any sum below
+                    bump_by_cell_metric[key] = bump_by_cell_metric.get(key, 0.0) + bump
 
     series: list[KpiSeries] = []
     hours = slot_indices(spec.start, period, n_samples, "hour_of_day")
@@ -421,10 +427,11 @@ def build(spec: ScenarioSpec) -> FixtureBundle:
         for metric in spec.metrics:
             values = np.asarray(metric.daily_profile, dtype=float)[hours].copy()
             bump = bump_by_cell_metric.get((cell.cell_id, metric.name))
-            if bump is not None:
-                values += bump
-            if metric.noise_sigma > 0:
-                values += metric.noise_sigma * rng.normals(n_samples)
+            with np.errstate(over="ignore"):  # a sum past float range is inf: write_kpis refuses it
+                if bump is not None:
+                    values += bump
+                if metric.noise_sigma > 0:
+                    values += metric.noise_sigma * rng.normals(n_samples)
             series.append(KpiSeries(cell.cell_id, metric.name, spec.start, period, values))
 
     # The filter box covers every injected event, so filtering never drops one.

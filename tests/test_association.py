@@ -229,11 +229,11 @@ def test_associate_events_matches_scalar_reference(case):
 
 
 def _perturbed_kernel(seed):
-    """``distances_km`` with every entry moved by 1.5e-3 km, either way: the
-    worst numpy-vs-math error derived next to _PRUNE_MARGIN_KM."""
+    """``distances_km`` with every entry moved by 1.8e-3 km, either way: the
+    worst matrix-vs-``haversine_km`` error derived next to _PRUNE_MARGIN_KM."""
     def perturbed(*coordinates):
         dist = distances_km(*coordinates)
-        return dist + np.random.default_rng(seed).choice([-1.5e-3, 1.5e-3], size=dist.shape)
+        return dist + np.random.default_rng(seed).choice([-1.8e-3, 1.8e-3], size=dist.shape)
 
     return perturbed
 

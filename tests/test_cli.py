@@ -12,7 +12,7 @@ from pathlib import Path
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from eventcell import association, cli, network
@@ -221,13 +221,15 @@ def test_simulate_refuses_non_finite_spec_numbers(tmp_path, capsys, options, mes
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")  # numpy's overflow warning stays off stderr
 def test_simulate_refuses_a_kpi_sum_that_overflows(tmp_path, capsys):
-    # Finite spec numbers whose sum at the event's peak is beyond float range.
+    # Finite spec numbers whose sum at the event's peak is beyond float range:
+    # one error line, and no file of the bundle is written.
     assert _simulate_spec(tmp_path, profile=(1.7e308,) * 24, sigma=0.0,
                           amplitudes={"NUM_DROPS": 1.7e308}) == 1
-    assert re.search(r"error: CELL_\w+/NUM_DROPS: value inf is not finite",
-                     capsys.readouterr().err)
-    assert not (tmp_path / "out" / "kpis.csv").exists()
+    assert re.fullmatch(r"error: CELL_\w+/NUM_DROPS: value inf is not finite\n",
+                        capsys.readouterr().err)
+    assert list((tmp_path / "out").iterdir()) == []
 
 
 def test_simulate_needs_exactly_one_input(tmp_path):
@@ -308,10 +310,11 @@ def _logging_config(tmp_path) -> str:
     return str(tmp_path / "config.json")
 
 
-def test_logging_is_set_on_every_main_call(tmp_path, capsys):
+def test_logging_is_set_on_every_main_call(tmp_path, capsys, caplog):
     """Each ``main`` call takes its level from --verbose and logs to the
     stderr of the moment through one handler, whatever calls came before
-    and although pytest has configured logging."""
+    and although pytest has configured logging; pytest's capture handlers,
+    which write to no stderr, still get every record."""
     argv = ["ingest", "--config", _logging_config(tmp_path), "--out", str(tmp_path / "out")]
     assert main(argv) == 0
     err = capsys.readouterr().err
@@ -323,6 +326,8 @@ def test_logging_is_set_on_every_main_call(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.count(_UNREACHABLE) == 1 and _GEOCODING not in err
     assert len(logging.getLogger("eventcell").handlers) == 1
+    assert sum(record.getMessage().startswith("source 'gone' unreachable")
+               for record in caplog.records) == 3
 
 
 def test_logging_under_python_m(tmp_path):
@@ -336,6 +341,22 @@ def test_logging_under_python_m(tmp_path):
         env=env, capture_output=True, text=True, timeout=120)
     assert result.returncode == 0, result.stderr
     assert result.stderr.count(_UNREACHABLE) == 1 and result.stderr.count(_GEOCODING) == 1
+
+
+def test_warnings_print_once_under_a_configured_host(tmp_path):
+    # The host gave the root logger a stderr handler, so the package's own
+    # handler stands aside and each warning is printed once, in the host's format.
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(Path(cli.__file__).parents[1]), env.get("PYTHONPATH", "")])
+    code = ("import logging, sys; logging.basicConfig(); from eventcell.cli import main; "
+            "sys.exit(main(sys.argv[1:]))")
+    argv = ["ingest", "--config", _logging_config(tmp_path), "--out", str(tmp_path / "out")]
+    result = subprocess.run([sys.executable, "-c", code, *argv], env=env, capture_output=True,
+                            text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
+    assert result.stderr.count("source 'gone' unreachable") == 1
+    assert "WARNING:eventcell.cli:source 'gone' unreachable" in result.stderr
 
 
 def test_missing_config_is_io_error(tmp_path):
@@ -732,6 +753,36 @@ def test_association_report_matches_stdlib_encoder(drawn, stamp):
         document, indent=2, ensure_ascii=False, allow_nan=False) + "\n"
 
 
+def _reference_rounded(value):
+    """``round(value, 6)`` as the stdlib encoder writes it under ``allow_nan=False``."""
+    value = round(value, 6)
+    if not math.isfinite(value):
+        raise ValueError(f"Out of range float values are not JSON compliant: {value!r}")
+    return float.__repr__(value)
+
+
+def _outcome_of(function, value):
+    try:
+        return function(value)
+    except ValueError as exc:
+        return ValueError, str(exc)
+
+
+@settings(max_examples=2000, deadline=None)
+@given(st.floats())
+@example(1e-4)
+@example(-1e-4)
+@example(1e9)
+@example(-1e9)
+@example(-0.0)
+@example(5e-7)
+@example(0.0000995)
+@example(999999999.9999995)
+@example(0.00009999995)
+def test_rounded_matches_repr_of_round(value):
+    assert _outcome_of(cli._rounded, value) == _outcome_of(_reference_rounded, value)
+
+
 # --- analyze -------------------------------------------------------------------
 
 @pytest.fixture()
@@ -947,6 +998,27 @@ def test_analyze_names_the_configured_metrics_when_none_match(detection7, tmp_pa
     assert _analyze_cell_1a(bundle) == 1
     assert ("error: no KPI series for cell 'CELL_1A' among the configured metrics ['NOPE']; "
             "it has ['NUM_DROPS', 'NUM_RRC_CONN']") in capsys.readouterr().err
+
+
+def test_analyze_warns_of_configured_metrics_the_cell_lacks(tmp_path, capsys):
+    # One configured metric has no series for the cell: a warning names it
+    # and the cell's metrics, and the report is the one scored on the rest.
+    bundle = tmp_path / "bundle"
+    assert main(["simulate", "--preset", "detection", "--seed", "3", "--out", str(bundle)]) == 0
+    config_path = bundle / "config.json"
+    assert main(["ingest", "--config", str(config_path)]) == 0
+    config = json.loads(config_path.read_text())
+    reports = []
+    for metrics in (["NUM_DROPS"], ["NUM_DROPS", "NUM_RRC_CONNX"]):
+        config_path.write_text(json.dumps(dict(config, metrics=metrics)))
+        capsys.readouterr()
+        assert main(["analyze", "--config", str(config_path), "--cell", "CELL_1A"]) == 0
+        reports.append([(bundle / "out" / name).read_bytes()
+                        for name in ("report.json", "summary.csv")])
+    warning = ("WARNING eventcell.cli: no KPI series for cell 'CELL_1A' under the configured "
+               "metrics ['NUM_RRC_CONNX']; it has ['NUM_DROPS', 'NUM_RRC_CONN']\n")
+    assert capsys.readouterr().err == warning
+    assert reports[0] == reports[1]
 
 
 # The scan parses only the analyzed cell's lines, but checks every block as

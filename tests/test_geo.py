@@ -13,14 +13,16 @@ keep their precision. It uses stdlib ``math`` only.
 import math
 import sys
 
+import numpy as np
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from eventcell.errors import DegenerateGeometry
 from eventcell.geo import (
     EARTH_RADIUS_KM,
     angle_offset_deg,
     destination_point,
+    distances_km,
     haversine_km,
     initial_bearing_deg,
 )
@@ -185,3 +187,24 @@ def test_destination_round_trip(lat, lon, bearing, dist):
     back = initial_bearing_deg((lat, lon), point)
     diff = abs(back - bearing % 360.0) % 360.0
     assert min(diff, 360.0 - diff) < 1e-6
+
+
+# --- the prune matrix -------------------------------------------------------
+
+@settings(max_examples=300)
+@given(
+    origins=st.lists(st.tuples(st.floats(-90, 90), st.floats(-180, 180)), min_size=1, max_size=4),
+    bearing=st.floats(0, 360),
+    log_dist=st.floats(-6, math.log10(2 * QUARTER)),
+)
+@example(origins=[(0.0, 0.0)], bearing=0.0, log_dist=-6)
+@example(origins=[(36.72, -4.42), (90.0, 0.0)], bearing=90.0, log_dist=math.log10(2 * QUARTER))
+def test_distance_matrix_within_its_bound(origins, bearing, log_dist):
+    # distances_km only prunes; each entry is within the 1.8e-3 km derived
+    # at association._PRUNE_MARGIN_KM of haversine_km, from 1 mm to the
+    # antipode (where 1 - p.q and the arctan2 are least well conditioned).
+    points = origins + [destination_point(o, bearing, 10 ** log_dist) for o in origins]
+    lat, lon = [p[0] for p in points], [p[1] for p in points]
+    matrix = distances_km(lat, lon, lat, lon)
+    exact = np.array([[haversine_km(a, b) for b in points] for a in points])
+    assert matrix.shape == exact.shape and np.all(np.abs(matrix - exact) <= 1.8e-3)

@@ -717,6 +717,82 @@ def test_scoped_load_kpis_parses_only_candidate_lines(tmp_path, monkeypatch):
     assert sum(line.startswith("C1,") for line in parsed) == 10
 
 
+# A block whose every line ends at LF or CR LF and has the header's comma
+# count takes the regular-block path: one separator scan gives each line's id
+# field, and only lines whose id field starts with the cell's bytes, with a
+# byte ``strip()`` may remove, or that hold a quote are parsed. Any other
+# block falls back to the general scan, which the properties above cover.
+
+_REGULAR_CELLS = ("S026C", "S026CX", "XS026C", 'S0"26C', "S\u00e9")
+
+
+def _scan_paths(monkeypatch):
+    """Count the blocks each path of the scoped scan takes after the header:
+    ``regular`` and ``fallback``."""
+    taken = {"regular": 0, "fallback": 0}
+    regular = network._regular_candidates
+
+    def counted_regular(*args):
+        scan = regular(*args)
+        taken["regular" if scan is not None else "fallback"] += 1
+        return scan
+
+    monkeypatch.setattr(network, "_regular_candidates", counted_regular)
+    return taken
+
+
+@settings(max_examples=200, deadline=None)
+@given(table=_kpi_tables(cells=_REGULAR_CELLS, max_keys=4), data=st.data(),
+       cell=st.sampled_from(_REGULAR_CELLS + ("S02", "S026")),
+       block=st.integers(1, 64) | st.just(network._BLOCK_BYTES))
+def test_scoped_scan_of_regular_files(tmp_path_factory, table, data, cell, block):
+    # Regular files: no comment or blank line and no comma inside a field,
+    # with LF or CR LF line ends, ids padded or after a no-break space, and
+    # plain, quoted or partly quoted fields. Every block after the header
+    # takes the regular path, and the rows are the reference's.
+    header, rows = table
+    nbsp = st.sampled_from(["", "\u00a0"])  # which strip() removes, as it does the pad
+    rows = [dict(row, cell_id=data.draw(nbsp) + row["cell_id"], extra=row["extra"].replace(",", ""))
+            for row in rows]
+    forms = data.draw(st.sampled_from([("plain",), ("plain", "quoted", "split")]))
+    lines = _render_lines(header, rows, data, junk=("",), ends=("\n", "\r\n"),
+                          field=_scoped_field(data, forms))
+    path = tmp_path_factory.mktemp("regular") / "kpis.csv"
+    path.write_text("".join(map("".join, lines)), encoding="utf-8", newline="")
+    expected = _rows_outcome(_reference_csv_rows_scoped(path, KPI_COLUMNS, cell))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(network, "_BLOCK_BYTES", block)
+        taken = _scan_paths(patch)
+        assert _rows_outcome(network._csv_rows(path, KPI_COLUMNS, cell)) == expected
+        assert taken["fallback"] == 0 < taken["regular"]
+        scoped = _outcome(lambda p: load_kpis(p, cell), path)
+    full = _outcome(load_kpis, path)
+    assert isinstance(full, list)
+    assert scoped == [s for s in full if s[0] == cell]
+
+
+def test_regular_file_takes_the_regular_path_on_every_block(tmp_path, monkeypatch):
+    # 20,000 rows in CR LF lines over several blocks, 10 of them of C1: every
+    # block after the header's takes the regular path, and only the C1 rows
+    # and the row whose id is padded reach the line parser.
+    lines = ["cell_id,metric,timestamp,value\r\n"]
+    for i in range(20_000):
+        cell = "C1" if i % 2_000 == 0 else " X07" if i == 7 else f"X{i % 100:02d}"
+        lines.append(f"{cell},M,{format_rfc3339(T0 + timedelta(hours=i // 100))},{i}\r\n")
+    path = _write(tmp_path, "k.csv", "".join(lines))
+    assert path.stat().st_size > 4 * network._BLOCK_BYTES
+    taken = _scan_paths(monkeypatch)
+    parsed = []
+    split_line = network._split_line
+    monkeypatch.setattr(network, "_split_line", lambda line: parsed.append(line) or split_line(line))
+    [series] = load_kpis(path, "C1")
+    assert np.count_nonzero(~np.isnan(series.values)) == 10
+    blocks = -(-path.stat().st_size // network._BLOCK_BYTES)
+    assert taken == {"regular": blocks, "fallback": 0}
+    assert len(parsed) == 1 + 10 + 1  # the header, the C1 rows and " X07"
+    assert sum(line.startswith("C1,") for line in parsed) == 10
+
+
 _GRID_EPOCHS = [datetime(2017, 3, 1, tzinfo=timezone.utc),
                 datetime(2017, 3, 1, 0, 0, 0, 123456, tzinfo=timezone.utc),
                 datetime(1969, 12, 31, 23, 59, 59, 999999, tzinfo=timezone.utc),
