@@ -94,7 +94,8 @@ class CauseCandidate:
     flagged: bool
     n_undefined: int
     reports: tuple[VenueImpactReport, ...]
-    close_sites: tuple[tuple[Site, float], ...]  # of the first event, nearest first
+    event: SocialEvent  # the first hosted event, which the report describes
+    close_sites: tuple[tuple[Site, float], ...]  # of ``event``, nearest first
 
 
 def bearing_offsets(cells: Sequence[Cell], site: Site, point: tuple[float, float]) -> list[float]:
@@ -129,9 +130,10 @@ _PRUNE_MARGIN_KM = 0.01
 
 def _candidate_sites(
     events: Sequence[SocialEvent], sites: Sequence[Site], params: GeoAssocParams
-) -> Iterator[tuple[SocialEvent, np.ndarray]]:
-    """Yield each event with a mask over ``sites`` that holds every one of
-    its close sites, in event order.
+) -> Iterator[tuple[tuple[float, float], np.ndarray]]:
+    """Yield each distinct (lat, lon) point of ``events``, in order of first
+    appearance, with a mask over ``sites`` that holds every one of its
+    close sites.
 
     A numpy distance matrix only prunes: with every matrix value within
     ``_PRUNE_MARGIN_KM`` of the scalar one, the sites kept below
@@ -141,12 +143,19 @@ def _candidate_sites(
     for event in events:
         if not event.has_coordinates():
             raise ConfigError(f"event {event.event_id} has no coordinates")
+    # Close sites and bearings depend on the point alone, so each point is
+    # measured once. Equal keys spelled differently (0.0 and -0.0, 36 and
+    # 36.0) are one point: ``haversine_km`` and ``initial_bearing_deg`` give
+    # bit-equal results for every spelling (checked on 200,000 random
+    # site/point pairs, poles and +-180 included), so the first spelling
+    # stands for all of them.
+    points = list(dict.fromkeys([(event.lat, event.lon) for event in events]))
     site_lat = np.array([site.lat for site in sites], dtype=float)
     site_lon = np.array([site.lon for site in sites], dtype=float)
     k = min(params.min_sites, len(sites))
-    for start in range(0, len(events), _CHUNK_EVENTS):
-        chunk = events[start : start + _CHUNK_EVENTS]
-        dist = distances_km([e.lat for e in chunk], [e.lon for e in chunk], site_lat, site_lon)
+    for start in range(0, len(points), _CHUNK_EVENTS):
+        chunk = points[start : start + _CHUNK_EVENTS]
+        dist = distances_km([p[0] for p in chunk], [p[1] for p in chunk], site_lat, site_lon)
         limit = np.full(len(chunk), params.max_dist_km)
         if k:
             np.maximum(limit, np.partition(dist, k - 1, axis=1)[:, k - 1], out=limit)
@@ -154,11 +163,11 @@ def _candidate_sites(
 
 
 def _close_sites(
-    event: SocialEvent, sites: Sequence[Site], candidates: np.ndarray, params: GeoAssocParams
+    point: tuple[float, float], sites: Sequence[Site], candidates: np.ndarray,
+    params: GeoAssocParams,
 ) -> list[tuple[Site, float]]:
-    """The association rule over the event's candidate sites, each
+    """The association rule over the point's candidate sites, each
     re-measured with ``haversine_km``."""
-    point = (event.lat, event.lon)
     ranked = sorted(
         ((sites[j], haversine_km(point, sites[j].location)) for j in np.flatnonzero(candidates)),
         key=lambda pair: (pair[1], pair[0].site_id),
@@ -174,7 +183,7 @@ def associate_events(
 ) -> Iterator[list[tuple[Site, float]]]:
     """Yield the close sites of each event, in event order: sites within
     max_dist_km, nearest first (ties broken by site_id), capped at max_sites.
-    Yielding lets callers drop the lists they do not keep.
+    Events at one (lat, lon) point get the one list of that point.
 
     When fewer than min_sites fall inside the distance limit, the limit is
     waived and the min_sites nearest sites are taken instead.
@@ -183,23 +192,30 @@ def associate_events(
     ``haversine_km`` and put through the rule, so distances and order are
     those of a scalar pass over all sites.
     """
-    for event, candidates in _candidate_sites(events, sites, params):
-        yield _close_sites(event, sites, candidates, params)
+    closes = {point: _close_sites(point, sites, candidates, params)
+              for point, candidates in _candidate_sites(events, sites, params)}
+    for event in events:
+        yield closes[event.lat, event.lon]
 
 
 def _events_near_site(
     events: Sequence[SocialEvent], sites: Sequence[Site], site_id: str, params: GeoAssocParams
 ) -> Iterator[tuple[SocialEvent, list[tuple[Site, float]]]]:
     """Yield (event, close sites) for each event, in event order, whose
-    close sites include a site with ``site_id``. An event's candidate mask
-    holds all of its close sites, so only events whose mask holds such a
-    site are measured."""
+    close sites include a site with ``site_id``; events at one point share
+    its list. A point's candidate mask holds all of its close sites, so
+    only points whose mask holds such a site are measured."""
     own = [j for j, site in enumerate(sites) if site.site_id == site_id]
-    for event, candidates in _candidate_sites(events, sites, params):
+    near = {}
+    for point, candidates in _candidate_sites(events, sites, params):
         if any(candidates[j] for j in own):
-            close = _close_sites(event, sites, candidates, params)
+            close = _close_sites(point, sites, candidates, params)
             if any(site.site_id == site_id for site, _ in close):
-                yield event, close
+                near[point] = close
+    for event in events:
+        close = near.get((event.lat, event.lon))
+        if close is not None:
+            yield event, close
 
 
 def associate_geographic(
@@ -455,6 +471,7 @@ def identify_causes(
                 flagged=any(score > r_threshold for score in metric_scores.values()),
                 n_undefined=sum(r.n_undefined for r in reports),
                 reports=tuple(reports),
+                event=venue_events[0],
                 close_sites=tuple(hosted[0][1]),
             )
         )

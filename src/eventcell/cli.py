@@ -115,16 +115,19 @@ def _association_texts(
 
     A record holds the event's fields, then each close site with its
     distance and, where the bearing from the site is defined, each of its
-    cells with its bearing offset. The text around the numbers is the same
-    for every entry of one site or cell, so it is built once per call.
+    cells with its bearing offset. That GEOGRAPHICAL_CLOSE_SITES block
+    depends only on the event's (lat, lon) point and its close-site list,
+    which ``associate_events`` shares among the events at one point, so it
+    is built once per point and list. The text around the numbers is the
+    same for every entry of one site or cell, so it is built once per call.
     """
     from . import association
 
     quoted_time = functools.lru_cache(maxsize=None)(  # events share few distinct times
         lambda time: encode_basestring(format_rfc3339(time)))
     site_texts: dict[str, tuple[str, list[network.Cell], list[str]]] = {}
-    for event, close in zip(events, closes):
-        point = (event.lat, event.lon)
+
+    def sites_block(point: tuple[float, float], close: list[tuple[network.Site, float]]) -> str:
         entries = []
         for site, distance in close:
             texts = site_texts.get(site.site_id)
@@ -148,8 +151,17 @@ def _association_texts(
                 for cell_head, offset in zip(cell_heads, offsets)])
             cells_text = f"[{_CELL}{cell_entries}{_SITE_KEY}]" if cell_entries else "[]"
             entries.append(f'{entry},{_SITE_KEY}"CELLS": {cells_text}{_SITE}}}')
-        sites_text = ("[" + _SITE + ("," + _SITE).join(entries) + _RECORD_KEY + "]"
-                      if entries else "[]")
+        return ("[" + _SITE + ("," + _SITE).join(entries) + _RECORD_KEY + "]"
+                if entries else "[]")
+
+    # point -> (its close-site list, held so that no other list can take its
+    # identity, and the list's block)
+    blocks: dict[tuple[float, float], tuple[list, str]] = {}
+    for event, close in zip(events, closes):
+        point = (event.lat, event.lon)
+        cached = blocks.get(point)
+        if cached is None or cached[0] is not close:
+            cached = blocks[point] = (close, sites_block(point, close))
         address = ingest.address_record(event.address)
         address_text = ("{" + _SITE + ("," + _SITE).join(
             [f'"{key}": {encode_basestring(part)}' for key, part in address.items()])
@@ -159,12 +171,11 @@ def _association_texts(
             quoted_time(event.end_time) if event.end_time else "null",
             encode_basestring(event.venue) if event.venue is not None else "null",
             address_text, repr(event.lat), repr(event.lon),
-            encode_basestring(event.event_id), sites_text)
+            encode_basestring(event.event_id), cached[1])
 
 
-def _cause_record(rank: int, candidate: association.CauseCandidate, events_by_id: dict) -> dict:
-    representative = events_by_id.get(candidate.event_ids[0])
-    record = _event_fields(representative) if representative else {}
+def _cause_record(rank: int, candidate: association.CauseCandidate) -> dict:
+    record = _event_fields(candidate.event)
     record["rank"] = rank
     record["VENUE"] = candidate.venue_label
     record["VENUE_KEY"] = candidate.venue_key
@@ -364,10 +375,12 @@ def cmd_associate(config_path: str, events_path: Optional[str], out: Optional[st
         else:
             skipped += 1
             logger.info("event %s has no coordinates; not associated", event.event_id)
-    closes = association.associate_events(located, sites, config.geo_assoc)
     report_path = out_dir / "associations.json"
-    _write_json_report(_association_texts(located, closes, cells_by_site), report_path, stamp)
+    _write_json_report(_association_texts(
+        located, association.associate_events(located, sites, config.geo_assoc), cells_by_site),
+        report_path, stamp)
     print(f"associated: {len(located)}")
+    print(f"locations: {len({(event.lat, event.lon) for event in located})}")
     print(f"skipped (no coordinates): {skipped}")
     print(f"wrote {report_path}")
 
@@ -427,11 +440,10 @@ def cmd_analyze(config_path: str, cell_id: str, events_path: Optional[str],
         normalization=config.normalization,
     )
 
-    events_by_id = {e.event_id: e for e in events}
     report_path = out_dir / "report.json"
     # JSON escapes a newline inside a string, so each "\n" is a line break to indent.
     _write_json_report(
-        (json.dumps(_cause_record(rank, candidate, events_by_id), indent=2,
+        (json.dumps(_cause_record(rank, candidate), indent=2,
                     ensure_ascii=False, allow_nan=False).replace("\n", "\n    ")
          for rank, candidate in enumerate(candidates, start=1)), report_path, stamp)
 

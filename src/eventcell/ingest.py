@@ -885,6 +885,20 @@ def _reject_constant(token: str):
 
 # ``json.loads`` reads the non-standard tokens NaN, Infinity and -Infinity.
 _STRICT_DECODER = json.JSONDecoder(parse_constant=_reject_constant)
+_JSON_SPACE = " \t\n\r"
+
+
+def _decode_line(line: str):
+    """``_STRICT_DECODER.decode(line)``. A line holding one JSON value
+    between JSON whitespace is read by the scanner directly; any other
+    line goes through ``decode``, which raises the error it always did."""
+    try:
+        value, end = _STRICT_DECODER.scan_once(line, len(line) - len(line.lstrip(_JSON_SPACE)))
+    except StopIteration:
+        return _STRICT_DECODER.decode(line)
+    if end != len(line) and line[end:].strip(_JSON_SPACE):
+        return _STRICT_DECODER.decode(line)
+    return value
 
 
 def read_events(path: str | Path) -> list[SocialEvent]:
@@ -900,7 +914,7 @@ def read_events(path: str | Path) -> list[SocialEvent]:
         if not line.strip():
             continue
         try:
-            events.append(event_from_record(_STRICT_DECODER.decode(line), parse_time))
+            events.append(event_from_record(_decode_line(line), parse_time))
         except (json.JSONDecodeError, SchemaError, InvariantError, UnparseableTimestamp) as exc:
             raise SchemaError(f"{path} line {lineno}: bad canonical event record ({exc})") from None
     return events

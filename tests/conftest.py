@@ -41,6 +41,17 @@ def make_event(
     )
 
 
+def spellings(value):
+    """Spellings of a coordinate equal to ``value``: itself, as a float, as
+    an int where integral, and 0.0 and -0.0 where zero."""
+    spellings = [value, float(value)]
+    if float(value).is_integer():
+        spellings.append(int(value))
+    if value == 0:
+        spellings += [0.0, -0.0]
+    return spellings
+
+
 def similarity(a: str, b: str) -> float:
     """Fusion's name similarity in [0, 1]: one minus the edit distance of the
     normalized names over the longer one's length; 1.0 iff they match."""

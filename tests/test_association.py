@@ -34,7 +34,7 @@ from eventcell.geo import destination_point, distances_km, haversine_km
 from eventcell.network import Cell, Site
 from eventcell.scenario import build, detection_spec, table1_fixture
 
-from conftest import T0, hourly_series, make_event
+from conftest import T0, hourly_series, make_event, spellings
 
 
 # --- bearing offset ----------------------------------------------------------
@@ -292,6 +292,52 @@ def test_scoped_association_matches_scalar_reference(case, seed):
     with pytest.MonkeyPatch.context() as patched:
         if seed is not None:
             patched.setattr(association, "distances_km", _perturbed_kernel(seed))
+        for site_id in sorted({site.site_id for site in sites}):
+            got = association._events_near_site(events, sites, site_id, params)
+            assert _near(got) == _near(_reference_near_site(events, sites, site_id, params))
+
+
+@st.composite
+def _shared_point_cases(draw):
+    """``_association_cases`` with most events repeating a few points,
+    each repeat under any spelling of its coordinates, and event ids shared
+    by events at different points."""
+    events, sites, params = draw(_association_cases())
+    points = [(event.lat, event.lon) for event in events]
+    points += [(float(round(lat)), float(round(lon))) for lat, lon in points[:1]]  # integral
+    shared = []
+    for k, i in enumerate(draw(st.lists(st.integers(0, len(points) - 1), min_size=1,
+                                        max_size=16))):
+        lat, lon = points[i]
+        shared.append(make_event(raw_id=draw(st.sampled_from(["a", "b", f"e{k}"])),
+                                 lat=draw(st.sampled_from(spellings(lat))),
+                                 lon=draw(st.sampled_from(spellings(lon)))))
+    return shared, sites, params
+
+
+@settings(max_examples=300, deadline=None)
+@given(_shared_point_cases(), st.none() | st.integers(0, 2**32 - 1))
+@example(([make_event(raw_id="a", lat=lat, lon=lon) for lat, lon in
+           [(0.0, -180.0), (-0.0, -180), (0, -180.0), (90.0, 0.0), (90, -0.0), (0.0, -180.0)]],
+          [Site("S0", 0.0, 179.9999, ("C0",)), Site("S1", 89.9999, 10.0, ("C1",))],
+          GeoAssocParams(2.0, 1, 7)), None)
+def test_shared_points_match_scalar_reference(case, seed):
+    # Events at one point, however its coordinates are spelled, get the
+    # close sites the scalar reference gives each of them, from one
+    # measurement of each distinct point; with a seed, under a kernel
+    # perturbed by its error bound.
+    events, sites, params = case
+    expected = [_reference_associate(event, sites, params) for event in events]
+    with pytest.MonkeyPatch.context() as patched:
+        if seed is not None:
+            patched.setattr(association, "distances_km", _perturbed_kernel(seed))
+        masks = [mask for _, mask in association._candidate_sites(events, sites, params)]
+        measured = []
+        patched.setattr(association, "haversine_km",
+                        lambda a, b: measured.append(b) or haversine_km(a, b))
+        assert _pairs(associate_events(events, sites, params)) == _pairs(expected)
+        assert len(masks) == len({(event.lat, event.lon) for event in events})
+        assert len(measured) == sum(int(mask.sum()) for mask in masks)
         for site_id in sorted({site.site_id for site in sites}):
             got = association._events_near_site(events, sites, site_id, params)
             assert _near(got) == _near(_reference_near_site(events, sites, site_id, params))

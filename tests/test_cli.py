@@ -27,7 +27,7 @@ from eventcell.ingest import (DEFAULT_NAME_THRESHOLD, DEFAULT_TIME_TOLERANCE, Ad
 from eventcell.network import MAX_SERIES_SAMPLES, Cell, Site, load_kpis, periodic_kind
 from eventcell.timeutil import format_rfc3339
 
-from conftest import T0, make_event
+from conftest import T0, make_event, spellings
 
 
 @pytest.fixture(scope="module")
@@ -590,13 +590,17 @@ def test_filter_circle_centred_on_the_antipode(t1_dir, tmp_path, capsys):
 
 # --- associate -----------------------------------------------------------------
 
-def test_associate_report(t1_dir, tmp_path):
+def test_associate_report(t1_dir, tmp_path, capsys):
     assert main(["ingest", "--config", _config(t1_dir), "--out", str(tmp_path)]) == 0
+    capsys.readouterr()
     assert main(["associate", "--config", _config(t1_dir), "--out", str(tmp_path)]) == 0
     report = json.loads((tmp_path / "associations.json").read_text())
     records = report["records"]
     assert len(records) == 29
     assert len({r["VENUE"] for r in records}) == 15
+    # each distinct point is measured once, and the count of them printed
+    assert len({(r["LAT"], r["LON"]) for r in records}) == 15
+    assert capsys.readouterr().out.startswith("associated: 29\nlocations: 15\n")
     for record in records:
         distances = [s["DISTANCE_KM"] for s in record["GEOGRAPHICAL_CLOSE_SITES"]]
         assert distances == sorted(distances)
@@ -644,7 +648,7 @@ def test_report_with_a_non_finite_float_exits_1_naming_the_file(t1_dir, tmp_path
     words = f"Out of range float values are not JSON compliant: {value!r}"
     assert main(["ingest", "--config", _config(t1_dir), "--out", str(tmp_path)]) == 0
     monkeypatch.setattr(cli, "_cause_record",
-                        lambda rank, candidate, events_by_id: {"R_VALUES": [0.5, [value]]})
+                        lambda rank, candidate: {"R_VALUES": [0.5, [value]]})
     capsys.readouterr()
     assert main(["analyze", "--config", _config(t1_dir), "--cell", "CELL_1A",
                  "--out", str(tmp_path)]) == 1
@@ -713,7 +717,9 @@ _COORDINATES = st.tuples(
 def _associations(draw):
     """Events, each with its close sites, and the sites' cells: sites without
     cells, sites with several, events at a site and events with no close site,
-    addresses with some, all or none of their parts set."""
+    addresses with some, all or none of their parts set. Events share points
+    under any spelling of the coordinates, close-site lists, at one point or
+    at different ones, and event ids."""
     site_ids = draw(st.lists(_TEXT, min_size=1, max_size=4, unique=True))
     sites = [Site(site_id, *draw(_COORDINATES), ("C",)) for site_id in site_ids]
     cells_by_site = {
@@ -724,17 +730,29 @@ def _associations(draw):
     address = (st.none() | st.builds(Address, *[st.none() | _EVENT_TEXT] * 5)
                | st.builds(Address, *[_EVENT_TEXT] * 5))
     events, closes = [], []
-    for k in range(draw(st.integers(0, 4))):
-        lat, lon = draw(st.sampled_from(sites).map(lambda site: site.location) | _COORDINATES)
+    for k in range(draw(st.integers(0, 6))):
+        earlier = draw(st.none() | st.integers(0, k - 1)) if k else None
+        if earlier is None:
+            lat, lon = draw(st.sampled_from(sites).map(lambda site: site.location) | _COORDINATES)
+        else:  # an earlier event's point, perhaps spelled otherwise
+            lat, lon = (draw(st.sampled_from(spellings(value)))
+                        for value in (events[earlier].lat, events[earlier].lon))
         start = T0 + timedelta(minutes=draw(st.integers(0, 10_000)))
         end = draw(st.none() | st.integers(1, 600).map(lambda m: start + timedelta(minutes=m)))
-        events.append(make_event(raw_id=draw(_EVENT_TEXT) + str(k), name=draw(_EVENT_TEXT),
+        raw_id = draw(st.just("shared") | _EVENT_TEXT.map(lambda text: text + str(k)))
+        events.append(make_event(raw_id=raw_id, name=draw(_EVENT_TEXT),
                                  start=start, end=end, lat=lat, lon=lon,
                                  venue=draw(st.none() | _EVENT_TEXT),
                                  address=draw(address)))
-        closes.append(draw(st.lists(st.tuples(
-            st.sampled_from(sites),
-            st.floats(0, 2e4) | st.sampled_from([0.0, 5e-324, 1e-7, 1234567.891])), max_size=3)))
+        if earlier is not None and draw(st.booleans()):
+            closes.append(closes[earlier])  # one list per point, as associate_events gives it
+        elif closes and draw(st.booleans()):
+            closes.append(draw(st.sampled_from(closes)))  # another event's list, at any point
+        else:
+            closes.append(draw(st.lists(st.tuples(
+                st.sampled_from(sites),
+                st.floats(0, 2e4) | st.sampled_from([0.0, 5e-324, 1e-7, 1234567.891])),
+                max_size=3)))
     return events, closes, cells_by_site
 
 
@@ -1018,6 +1036,33 @@ def test_analyze_warns_of_configured_metrics_the_cell_lacks(tmp_path, capsys):
     warning = ("WARNING eventcell.cli: no KPI series for cell 'CELL_1A' under the configured "
                "metrics ['NUM_RRC_CONNX']; it has ['NUM_DROPS', 'NUM_RRC_CONN']\n")
     assert capsys.readouterr().err == warning
+    assert reports[0] == reports[1]
+
+
+def test_analyze_describes_the_hosted_event_when_another_shares_its_id(tmp_path, capsys):
+    # Ingest may write two events under one EVENT_ID (a source repeating a
+    # RAW_ID). A far event reusing the causal event's id changes no byte of
+    # the report, whose top record describes the causal event.
+    bundle = tmp_path / "bundle"
+    assert main(["simulate", "--preset", "detection", "--seed", "3", "--out", str(bundle)]) == 0
+    config = str(bundle / "config.json")
+    assert main(["ingest", "--config", config]) == 0
+    assert main(["filter", "--config", config]) == 0
+    filtered = bundle / "out" / "filtered.ndjson"
+    [causal] = [json.loads(line) for line in filtered.read_text().splitlines()
+                if json.loads(line)["EVENT_ID"] == "calendar/inj00"]
+    far = dict(causal, NAME="Unrelated Far Event", LAT=0.5, LON=0.5)
+    shared = tmp_path / "shared.ndjson"
+    shared.write_text(filtered.read_text() + json.dumps(far) + "\n")
+    reports = []
+    for events in (filtered, shared):
+        assert main(["analyze", "--config", config, "--cell", "CELL_1A",
+                     "--events", str(events)]) == 0
+        reports.append([(bundle / "out" / name).read_bytes()
+                        for name in ("report.json", "summary.csv")])
+    top = json.loads(reports[1][0])["records"][0]
+    assert {key: top[key] for key in ("NAME", "VENUE", "LAT", "LON", "EVENT_ID")} == {
+        key: causal[key] for key in ("NAME", "VENUE", "LAT", "LON", "EVENT_ID")}
     assert reports[0] == reports[1]
 
 

@@ -1172,6 +1172,7 @@ _NAMES = st.text(st.characters(exclude_categories=()) | st.sampled_from(
 _TIMES = st.sampled_from(["2017-03-01T20:00:00Z", "2017-03-01T22:00:00+02:00",
                           "2017-03-02T09:30:00.250Z", "2017-03-01T20:00:00", "soon", ""])
 _WRONG = st.sampled_from([0, 1.5, True, None, "x", [], ["x"], {}, {"CITY": "x"}])
+_PADS = st.sampled_from(["", "", "", "", " ", "\t ", "\u00a0", "\x0c"])
 
 
 @st.composite
@@ -1179,7 +1180,8 @@ def _canonical_line(draw):
     """The text of one canonical record line: mostly valid, else with one
     flaw a reader must name (a wrong JSON type, a bad ADDRESS part or
     MERGE_NOTES item, a missing field, a NaN or Infinity token, a latitude
-    of 95, an END_TIME not after START_TIME), or not an object at all."""
+    of 95, an END_TIME not after START_TIME), or not an object at all; the
+    record may stand between spaces."""
     record = {"EVENT_ID": "s/" + draw(_NAMES), "NAME": draw(_NAMES),
               "START_TIME": draw(_TIMES)}
     if draw(st.booleans()):
@@ -1219,7 +1221,11 @@ def _canonical_line(draw):
     elif flaw == "array":
         return json.dumps(list(record))
     text = json.dumps(record, ensure_ascii=draw(st.booleans()))
-    return text[: draw(st.integers(1, len(text) - 1))] if flaw == "garbage" else text
+    if flaw == "garbage":
+        text = text[: draw(st.integers(1, len(text) - 1))]
+    # JSON whitespace around the record, else a space JSON does not allow
+    # (U+00A0, form feed) or text after the record
+    return draw(_PADS) + text + draw(_PADS | st.sampled_from([" x", "{}", "1"]))
 
 
 @settings(max_examples=300, deadline=None)
