@@ -371,12 +371,19 @@ def aggregate_venue(
     return reports
 
 
+def _key_coordinate(value: float) -> str:
+    """``value`` to five decimals, without a sign when that rounds to zero,
+    so 0.0, -0.0 and -1e-6 are spelled alike."""
+    text = f"{value:.5f}"
+    return "0.00000" if text == "-0.00000" else text
+
+
 def venue_key_for(event: SocialEvent) -> str:
     """Grouping key for venue aggregation: normalized venue name, else coordinates."""
     if event.venue:
         return normalize_text(event.venue)
     if event.has_coordinates():
-        return f"@{event.lat:.5f},{event.lon:.5f}"
+        return f"@{_key_coordinate(event.lat)},{_key_coordinate(event.lon)}"
     return f"event:{event.event_id}"
 
 

@@ -16,10 +16,11 @@ import json
 import logging
 import math
 import unicodedata
-from bisect import bisect_right
 from dataclasses import dataclass, field
 from datetime import datetime, timedelta, tzinfo
+from itertools import compress, count
 from json.encoder import encode_basestring
+from operator import ne
 from pathlib import Path
 from typing import Iterable, Mapping, NamedTuple, Optional, Protocol, Sequence
 
@@ -445,9 +446,12 @@ def _decode_records(text: str, source: SourceConfig) -> list[dict]:
 
     reader = csv.DictReader(io.StringIO(text))
     records = []
-    for lineno, row in enumerate(reader, start=2):
-        if None in row or any(k is None for k in row):
-            raise MalformedPayload(f"source '{source.source_id}' line {lineno}: ragged CSV row")
+    for row in reader:
+        # A long row keeps its extra fields under the key None, a short one
+        # gets None for the fields it lacks.
+        if None in row or None in row.values():
+            raise MalformedPayload(
+                f"source '{source.source_id}' line {reader.line_num}: ragged CSV row")
         records.append(dict(row))
     return records
 
@@ -624,16 +628,37 @@ def _pieces(text: str, k: int) -> list[str]:
     return [text[t * m // q:(t + 1) * m // q] for t in range(q)]
 
 
+def _windows(text: str, k: int) -> tuple[list[str], list[int], list[int]]:
+    """``text`` cut into ``k + 3`` contiguous pieces, with the start and end
+    of the stretch that holds each piece, shifted by at most ``k``, in any
+    string within ``k`` edits of ``text``: the arguments of ``str.find``."""
+    q = k + 3
+    m = len(text)
+    cuts = [t * m // q for t in range(q + 1)]
+    return ([text[lo:hi] for lo, hi in zip(cuts, cuts[1:])],
+            [lo - k if lo > k else 0 for lo in cuts[:-1]], [hi + k for hi in cuts[1:]])
+
+
+def _one_edit(a: str, b: str) -> bool:
+    """Whether the distinct strings ``a`` and ``b`` are one edit apart. The
+    first mismatch is where the one substitution, or the one character only
+    the longer string has, must sit, and the rest must then agree."""
+    m, n = len(a), len(b)
+    if m == n:
+        return sum(map(ne, a, b)) == 1
+    if m < n:
+        a, b, m, n = b, a, n, m
+    if m - n != 1:
+        return False
+    p = next(compress(count(), map(ne, a, b)), n)
+    return a[p + 1:] == b[p:]
+
+
 def check_name_threshold(name_threshold: float) -> float:
     """``name_threshold``, which must lie in [0, 1] (NaN does not)."""
     if not 0.0 <= name_threshold <= 1.0:
         raise ConfigError(f"fusion.name_threshold {name_threshold} outside [0, 1]")
     return name_threshold
-
-
-# Fields merged value-by-value during fusion, in serialization order.
-_MERGE_FIELDS = ("name", "start_time", "end_time", "lat", "lon", "venue",
-                 "address", "category", "popularity")
 
 
 def fuse_sources(
@@ -654,13 +679,29 @@ def fuse_sources(
     back to the first non-absent value; conflicting values are noted on the
     merged record.
 
-    Only pairs that can still reach the threshold get an edit distance. A
-    pair whose names differ in length by more than the bound ``k`` cannot,
-    and neither can one where no piece of the first name, cut into ``k + 1``
-    contiguous pieces, occurs in the second: each edit breaks at most one
-    piece, so within ``k`` edits one piece survives whole (Wu and Manber
-    1992). Both tests reject only distances above ``k``, which always fail
-    the similarity test, so they change no group.
+    Every distance that can pass the similarity test is at most the bound
+    ``k`` of the longer name's length, so a step that rejects only
+    distances above ``k`` changes no group. A pair of distinct names in one
+    window is decided by the first of these steps that settles it:
+
+    1. Names whose lengths differ by more than ``k`` are more than ``k``
+       edits apart.
+    2. So are names where no piece of the first, cut into ``k + 1``
+       contiguous pieces, occurs in the second: each edit breaks at most
+       one piece, so within ``k`` edits one piece survives whole (Wu and
+       Manber 1992).
+    3. A pair whose events are already in one group is skipped: joining
+       them would change nothing.
+    4. Names one edit apart (``_one_edit``) are at distance 1, which goes
+       straight to the similarity test.
+    5. Cut the first name into ``k + 3`` pieces. Within ``k`` edits at most
+       ``k`` pieces break, and each whole one sits in the second name
+       shifted by at most ``k`` (the insertions before it less the
+       deletions), so a pair with fewer than three pieces whole in their
+       windows is more than ``k`` edits apart (the shift-window segment
+       filter of Pass-Join, Li et al. 2011, with the window widened to
+       ``k``).
+    6. Only the rest get the bounded edit distance (``_masked_levenshtein``).
     """
     check_name_threshold(name_threshold)
     if not events:
@@ -676,8 +717,11 @@ def fuse_sources(
     first = order[0].start_time
     starts = [(e.start_time - first) // unit for e in order]
     reach = time_tolerance // unit
+    # The bound k of each length the longer name of a pair can have.
+    bounds = [int(slack * length) + 1 for length in range(max(map(len, names)) + 1)]
 
-    parent = list(range(len(order)))
+    total = len(order)
+    parent = list(range(total))
 
     def find(i: int) -> int:
         while parent[i] != i:
@@ -690,22 +734,25 @@ def fuse_sources(
         if ri != rj:
             parent[rj] = ri
 
-    for i in range(len(order)):
+    end = 0  # the window of i is order[i + 1:end]; starts are sorted, so end only grows
+    for i in range(total):
         a = names[i]
         m = len(a)
-        masks = None  # a's, built on its first pair that passes the filters
+        limit = starts[i] + reach
+        while end < total and starts[end] <= limit:
+            end += 1
+        masks = None  # a's, built on its first pair that needs an edit distance
         pieces: dict[int, list[str]] = {}  # k -> a cut into k + 1 pieces
-        for j in range(i + 1, bisect_right(starts, starts[i] + reach, i + 1)):
+        windows: dict[int, tuple[list[str], list[int], list[int]]] = {}  # k -> _windows(a, k)
+        for j in range(i + 1, end):
             b = names[j]
             if a == b:
                 union(i, j)
                 continue
             n = len(b)
             longest = m if m > n else n
-            # Every distance that can pass the similarity test is at most k,
-            # so the bounded distance is exact wherever the test decides.
-            k = int(slack * longest) + 1
-            if abs(m - n) > k:
+            k = bounds[longest]
+            if m - n > k or n - m > k:
                 continue
             cut = pieces.get(k)
             if cut is None:
@@ -715,9 +762,20 @@ def fuse_sources(
                     break
             else:
                 continue
-            if masks is None:
-                masks = _char_masks(a)
-            if 1.0 - _masked_levenshtein(masks, m, b, k) / longest >= name_threshold:
+            if find(i) == find(j):
+                continue
+            if _one_edit(a, b):
+                distance = 1
+            else:
+                window = windows.get(k)
+                if window is None:
+                    window = windows[k] = _windows(a, k)
+                if list(map(b.find, *window)).count(-1) > k:
+                    continue
+                if masks is None:
+                    masks = _char_masks(a)
+                distance = _masked_levenshtein(masks, m, b, k)
+            if 1.0 - distance / longest >= name_threshold:
                 union(i, j)
 
     groups: dict[int, list[SocialEvent]] = {}
@@ -729,6 +787,14 @@ def fuse_sources(
     return merged
 
 
+# Fields merged value by value during fusion, in serialization order, with
+# their index in an event.
+_MERGE_FIELDS = tuple((name, _EventFields._fields.index(name)) for name in (
+    "name", "start_time", "end_time", "lat", "lon", "venue", "address", "category",
+    "popularity"))
+_END_TIME = _EventFields._fields.index("end_time")
+
+
 def _merge_group(members: list[SocialEvent], priorities: Mapping[str, int]) -> SocialEvent:
     if len(members) == 1:
         return members[0]
@@ -736,29 +802,27 @@ def _merge_group(members: list[SocialEvent], priorities: Mapping[str, int]) -> S
         members,
         key=lambda e: (-priorities.get(e.source_id, 0), e.start_time, e.event_id),
     )
-    winner = ranked[0]
     notes = {note for member in members for note in member.merge_notes}
-
-    chosen: dict[str, object] = {}
-    for name in _MERGE_FIELDS:
+    fields = list(ranked[0])  # the winner's, whose start_time is never absent
+    start_time = ranked[0].start_time
+    for name, index in _MERGE_FIELDS:
         value = None
         for member in ranked:
-            candidate = getattr(member, name)
+            candidate = member[index]
             if candidate is None:
                 continue
-            if name == "end_time" and "start_time" in chosen:
-                if candidate <= chosen["start_time"]:  # type: ignore[operator]
-                    notes.add(f"end_time: discarded {format_rfc3339(candidate)} from "
-                              f"{member.source_id} (precedes merged start)")
-                    continue
+            if index == _END_TIME and candidate <= start_time:
+                notes.add(f"end_time: discarded {format_rfc3339(candidate)} from "
+                          f"{member.source_id} (precedes merged start)")
+                continue
             if value is None:
                 value = candidate
             elif candidate != value:
                 shown = format_rfc3339(candidate) if isinstance(candidate, datetime) else repr(candidate)
                 notes.add(f"{name}: discarded {shown} from {member.source_id}")
-        chosen[name] = value
-
-    return winner._replace(merge_notes=tuple(sorted(notes)), **chosen)
+        fields[index] = value
+    fields[-1] = tuple(sorted(notes))  # merge_notes
+    return SocialEvent(*fields)
 
 
 # ---------------------------------------------------------------------------
@@ -844,13 +908,21 @@ def write_events(events: Iterable[SocialEvent], path: str | Path) -> None:
     ``json.dumps(record, ensure_ascii=False)`` writes the event's canonical
     record: EVENT_ID, NAME, START_TIME, END_TIME, LAT, LON, VENUE, ADDRESS
     (the parts that are set), CATEGORY, POPULARITY, SOURCE_ID, RAW_ID and
-    MERGE_NOTES, absent fields left out. A time that several events share
-    is quoted once per call. The lines and those quoted times are dropped
-    once joined, so only the whole text is kept while it is written.
+    MERGE_NOTES, absent fields left out. A time or an ADDRESS that several
+    events share is rendered once per call. The lines and those renderings
+    are dropped once joined, so only the whole text is kept while it is
+    written.
     """
     quoted_time = functools.lru_cache(maxsize=None)(
         lambda time: encode_basestring(format_rfc3339(time)))
     string = encode_basestring
+
+    @functools.lru_cache(maxsize=None)
+    def address_field(address: Address) -> str:
+        parts = [f'"{key}": {string(part)}'
+                 for key, part in zip(_ADDRESS_PARTS, address) if part is not None]
+        return ', "ADDRESS": {' + ", ".join(parts) + "}" if parts else ""
+
     lines = []
     for (event_id, name, start_time, source_id, raw_id, end_time, lat, lon, venue, address,
          category, popularity, merge_notes) in events:
@@ -862,10 +934,8 @@ def write_events(events: Iterable[SocialEvent], path: str | Path) -> None:
             line += f', "LAT": {_number(lat)}, "LON": {_number(lon)}'
         if venue is not None:
             line += f', "VENUE": {string(venue)}'
-        if address is not None and address != _NO_ADDRESS:
-            line += ', "ADDRESS": {' + ", ".join([
-                f'"{key}": {string(part)}'
-                for key, part in zip(_ADDRESS_PARTS, address) if part is not None]) + "}"
+        if address is not None:
+            line += address_field(address)
         if category is not None:
             line += f', "CATEGORY": {string(category)}'
         if popularity is not None:
@@ -875,7 +945,7 @@ def write_events(events: Iterable[SocialEvent], path: str | Path) -> None:
             line += ', "MERGE_NOTES": [' + ", ".join(map(string, merge_notes)) + "]"
         lines.append(line + "}\n")
     text = "".join(lines)
-    del lines, quoted_time
+    del lines, quoted_time, address_field
     atomic_write_text(path, text)
 
 

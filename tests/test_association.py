@@ -643,6 +643,14 @@ def test_venue_key():
     assert keyed == "@36.72000,-4.42000"
 
 
+@pytest.mark.parametrize("axis", ["lat", "lon"])
+def test_venue_key_spells_a_coordinate_that_rounds_to_zero_without_a_sign(axis):
+    """0.0, -0.0 and a point a few cm on the negative side are one place."""
+    keys = {venue_key_for(make_event(venue=None, **{"lat": 10.0, "lon": 10.0, axis: value}))
+            for value in (0.0, -0.0, -1e-6)}
+    assert keys == {"@0.00000,10.00000" if axis == "lat" else "@10.00000,0.00000"}
+
+
 # --- identify_causes -------------------------------------------------------------
 
 def test_identify_causes_empty_when_no_events(tri_site):

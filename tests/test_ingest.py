@@ -37,7 +37,9 @@ from eventcell.ingest import (
     _json_type,
     _masked_levenshtein,
     _merge_group,
+    _one_edit,
     _pieces,
+    _windows,
     Address,
     BoundingBox,
     FixtureGeocoder,
@@ -106,6 +108,39 @@ def test_fetch_csv(simple_source):
     )
     records = fetch_raw(source, ANY_GEO, ANY_TIME)
     assert [r["title"] for r in records] == ["Concert A", "Concert B"]
+
+
+_CSV_HEAD = 'title,when,place\nConcert A,2017-03-01T20:00Z,Hall\n'
+# A blank line and a quoted field over two lines come before the ragged row,
+# so its physical line (7) is not its record number (4).
+_CSV_BEFORE_LINE_7 = _CSV_HEAD + '\n"Concert\nB",2017-03-02T20:00Z,Hall\n\n'
+
+
+@pytest.mark.parametrize("text, line", [
+    (_CSV_HEAD + "Concert B,2017-03-02T20:00Z\n", 3),  # short
+    (_CSV_HEAD + "Concert B,2017-03-02T20:00Z,Hall,extra\n", 3),  # long
+    (_CSV_BEFORE_LINE_7 + "Concert C,2017-03-03T20:00Z\n", 7),
+    (_CSV_BEFORE_LINE_7 + "Concert C,2017-03-03T20:00Z,Hall,\n", 7),
+], ids=["short", "long", "short after blank and multi-line", "long after blank and multi-line"])
+def test_ingest_exits_1_on_a_csv_row_with_more_or_fewer_fields_than_its_header(
+        tmp_path, capsys, text, line):
+    from eventcell.cli import main
+
+    (tmp_path / "feed.csv").write_text(text)
+    config = {"sources": [{"source_id": "tickets", "kind": "file", "locator": "feed.csv",
+                           "format": "csv_records",
+                           "field_map": {"title": "NAME", "when": "START_TIME",
+                                         "place": "VENUE"}}],
+              "filter": {"geo": {"box": [36.0, 37.0, -5.0, -4.0]},
+                         "time": {"start": "2017-03-01T00:00:00Z",
+                                  "end": "2017-04-01T00:00:00Z"}},
+              "paths": {"output": "out"}}
+    (tmp_path / "config.json").write_text(json.dumps(config))
+    assert main(["ingest", "--config", str(tmp_path / "config.json")]) == 1
+    errors = [row for row in capsys.readouterr().err.splitlines() if row.startswith("error:")]
+    assert len(errors) == 1
+    assert f"source 'tickets' line {line}: ragged CSV row" in errors[0]
+    assert not (tmp_path / "out" / "events.ndjson").exists()
 
 
 @pytest.fixture
@@ -697,7 +732,87 @@ def test_partition_filter_rejects_only_distances_above_cutoff(case):
         assert _levenshtein(a, b) > k
 
 
-def _oracle_fusion(events, name_threshold=0.85, time_tolerance=timedelta(minutes=30)):
+@st.composite
+def _one_edit_apart(draw):
+    """A string from ``_strings_and_cutoff`` and that string after one
+    substitution, insertion or deletion, which may leave it as it was."""
+    a, _, k = draw(_strings_and_cutoff())
+    pool = a + "ab\u0301"
+    i = draw(st.integers(0, len(a)))
+    op = draw(st.sampled_from(["sub", "ins", "del"] if i < len(a) else ["ins"]))
+    middle = "" if op == "del" else draw(st.sampled_from(pool))
+    return a, a[:i] + middle + a[i + (op != "ins"):], k
+
+
+@settings(max_examples=500)
+@given(st.one_of(_strings_and_cutoff(), _one_edit_apart()))
+@example(("", "", 0))
+@example(("", "a", 0))
+@example(("abc", "abd", 0))
+@example(("abc", "ab", 0))
+@example(("abc", "xabc", 0))
+@example(("aab", "ab", 0))  # the first mismatch is after the deleted character
+@example(("ab", "ba", 0))  # equal lengths, two mismatches: distance 2
+@example(("abc", "cab", 0))  # lengths differ by one and the rest disagrees: distance 2
+@example(("\U0001f3b8e", "e\u0301", 0))
+def test_one_edit_test_holds_exactly_at_distance_one(case):
+    a, b, _ = case
+    assert _one_edit(a, b) == _one_edit(b, a) == (_levenshtein(a, b) == 1)
+
+
+@settings(max_examples=500)
+@given(_strings_and_cutoff())
+@example(("abcdefgh", "efghabcd", 2))  # pieces occur, but none near its own offset
+@example(("ab", "xyz", 4))  # shorter than k + 3 pieces: empty pieces occur in every window
+@example(("", "abc", 3))
+@example(("abc", "abd", 0))
+@example(("abcdef", "xxabcdef", 2))  # every piece shifted by k
+@example(("xxabcdef", "abcdef", 2))
+@example(("kitten", "sitting", 3))
+def test_positional_filter_rejects_only_distances_above_cutoff(case):
+    a, b, k = case
+    pieces, lows, highs = _windows(a, k)
+    assert len(pieces) == k + 3 and "".join(pieces) == a
+    if list(map(b.find, pieces, lows, highs)).count(-1) > k:
+        assert _levenshtein(a, b) > k
+
+
+def _oracle_merge_group(members, priorities):
+    """One duplicate group merged as specified, field by field by name."""
+    if len(members) == 1:
+        return members[0]
+    ranked = sorted(
+        members,
+        key=lambda e: (-priorities.get(e.source_id, 0), e.start_time, e.event_id),
+    )
+    winner = ranked[0]
+    notes = {note for member in members for note in member.merge_notes}
+
+    chosen = {}
+    for name in ("name", "start_time", "end_time", "lat", "lon", "venue", "address", "category",
+                 "popularity"):
+        value = None
+        for member in ranked:
+            candidate = getattr(member, name)
+            if candidate is None:
+                continue
+            if name == "end_time" and "start_time" in chosen:
+                if candidate <= chosen["start_time"]:
+                    notes.add(f"end_time: discarded {format_rfc3339(candidate)} from "
+                              f"{member.source_id} (precedes merged start)")
+                    continue
+            if value is None:
+                value = candidate
+            elif candidate != value:
+                shown = format_rfc3339(candidate) if isinstance(candidate, datetime) else repr(candidate)
+                notes.add(f"{name}: discarded {shown} from {member.source_id}")
+        chosen[name] = value
+
+    return winner._replace(merge_notes=tuple(sorted(notes)), **chosen)
+
+
+def _oracle_fusion(events, name_threshold=0.85, time_tolerance=timedelta(minutes=30),
+                   priorities=None):
     """Fusion as specified: full edit distance over every pair, transitive groups."""
     order = sorted(events, key=lambda e: (e.start_time, e.name, e.event_id))
     names = [normalize_text(e.name) for e in order]
@@ -714,7 +829,7 @@ def _oracle_fusion(events, name_threshold=0.85, time_tolerance=timedelta(minutes
     members = {}
     for idx, event in enumerate(order):
         members.setdefault(group[idx], []).append(event)
-    merged = [_merge_group(m, {}) for m in members.values()]
+    merged = [_oracle_merge_group(m, priorities or {}) for m in members.values()]
     return sorted(merged, key=lambda e: (e.start_time, e.name, e.event_id))
 
 
@@ -750,6 +865,58 @@ def _near_duplicate_events(draw):
 def test_fuse_matches_full_distance_oracle(case):
     threshold, events = case
     assert fuse_sources(events, name_threshold=threshold) == _oracle_fusion(events, threshold)
+
+
+_WORDS = ["jazz", "rock", "costa", "sol", "feria", "noche", "gala", "teatro"]
+
+
+@st.composite
+def _feed_shaped_events(draw):
+    """Designed events and their copies as feeds deliver them. Each of up to
+    three copies keeps the designed name, changes its case or changes one
+    letter, starts up to 12 minutes from the designed start and carries its
+    own source's fields. Names are one to three words from a small list
+    before one trailing word they all share, and every start falls within
+    one window, so distinct events share a word pair by pair."""
+    threshold = draw(st.sampled_from([0.85, 0.9, 0.7]))
+    tail = draw(st.sampled_from(_WORDS))
+    events = []
+    for e in range(draw(st.integers(1, 6))):
+        name = " ".join(draw(st.lists(st.sampled_from(_WORDS), min_size=1, max_size=3)) + [tail])
+        start = T0 + timedelta(minutes=draw(st.integers(0, 30)))
+        for c in range(draw(st.integers(1, 3))):
+            copy = name
+            kind = draw(st.sampled_from(["same", "case", "spelling"]))
+            if kind == "case":
+                copy = draw(st.sampled_from([name.upper(), name.title(), name + "!"]))
+            elif kind == "spelling":
+                i = draw(st.integers(0, len(name) - 1))
+                op = draw(st.sampled_from(["sub", "ins", "del"]))
+                letter = draw(st.sampled_from("aeiouxz"))
+                copy = name[:i] + ("" if op == "del" else letter) + name[i + (op != "ins"):]
+            copy_start = start + timedelta(minutes=draw(st.sampled_from([-12, -5, 0, 5, 12])))
+            # an end 5 minutes after the designed start may precede or equal
+            # another copy's start, which a merge then discards
+            end = draw(st.sampled_from([None, start + timedelta(minutes=5),
+                                        copy_start + timedelta(hours=2)]))
+            lat = draw(st.sampled_from([None, 36.72, 36.73]))
+            events.append(make_event(
+                raw_id=f"{e}.{c}", source_id=f"s{c}", name=copy, start=copy_start,
+                end=end if end is not None and end > copy_start else None,
+                lat=lat, lon=None if lat is None else -4.42,
+                venue=draw(st.sampled_from([None, "Teatro Cervantes", "teatro cervantes"])),
+                category=draw(st.sampled_from([None, "music", "Concert"])),
+                popularity=draw(st.sampled_from([None, 120.0, 3000.0]))))
+    priorities = draw(st.sampled_from([{}, {"s2": 2, "s0": 1}]))
+    return threshold, priorities, events
+
+
+@settings(max_examples=300, deadline=None)
+@given(_feed_shaped_events())
+def test_fuse_feed_shaped_events_match_full_distance_oracle(case):
+    threshold, priorities, events = case
+    assert (fuse_sources(events, name_threshold=threshold, priorities=priorities)
+            == _oracle_fusion(events, threshold, priorities=priorities))
 
 
 def test_fuse_long_names_match_full_distance_oracle():
