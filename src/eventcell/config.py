@@ -59,6 +59,9 @@ class EawParams:
             raise ConfigError("EAW margins must be >= 0")
         if self.default_duration <= timedelta(0):
             raise ConfigError("default event duration must be positive")
+        for category, duration in self.category_durations.items():
+            if duration <= timedelta(0):
+                raise ConfigError(f"event duration of category {category!r} must be positive")
         if not self.sigma_scale > 0:  # also rejects NaN
             raise ConfigError("sigma_scale must be positive")
 

@@ -261,8 +261,38 @@ class GeocoderClient(Protocol):
         ...
 
 
+def row_float(text: str, key: str, path, lineno: int) -> float:
+    """A number field of line ``lineno`` of a CSV input: a finite decimal or
+    exponent spelling."""
+    try:
+        if "_" in text:  # float() takes Python's digit separators; no export means them
+            raise ValueError
+        value = float(text)
+    except ValueError:
+        raise InvariantError(f"{path} line {lineno}: {key} is not numeric: {text!r}") from None
+    if not math.isfinite(value):
+        raise InvariantError(f"{path} line {lineno}: {key} is not finite: {text!r}")
+    return value
+
+
+def row_coordinates(lat_text: str, lon_text: str, path, lineno: int) -> tuple[float, float]:
+    """The ``lat`` and ``lon`` fields of line ``lineno`` of a CSV input,
+    read by ``row_float`` and in range."""
+    lat = row_float(lat_text, "lat", path, lineno)
+    lon = row_float(lon_text, "lon", path, lineno)
+    if not -90.0 <= lat <= 90.0 or not -180.0 <= lon <= 180.0:
+        raise InvariantError(f"{path} line {lineno}: coordinates out of range")
+    return lat, lon
+
+
 class FixtureGeocoder:
-    """Deterministic geocoder backed by a CSV table (query,lat,lon,normalized_address)."""
+    """Deterministic geocoder backed by a CSV table (query,lat,lon,normalized_address).
+
+    The whole table is checked when it is loaded: a row with more or fewer
+    fields than the header, or a ``lat`` or ``lon`` that ``row_coordinates``
+    refuses, raises ``SchemaError`` naming the table and the line, whether
+    or not any query reaches that row.
+    """
 
     def __init__(self, table: Mapping[str, tuple[float, float, str]]):
         self._table = dict(table)
@@ -277,11 +307,15 @@ class FixtureGeocoder:
                 if reader.fieldnames is None or not required <= set(reader.fieldnames):
                     raise SchemaError(f"{path}: geocoder table needs columns {sorted(required)}")
                 for row in reader:
-                    table[normalize_text(row["query"])] = (
-                        float(row["lat"]),
-                        float(row["lon"]),
-                        row["normalized_address"],
-                    )
+                    lineno = reader.line_num
+                    if None in row or None in row.values():
+                        raise SchemaError(
+                            f"{path} line {lineno}: expected {len(reader.fieldnames)} fields")
+                    try:
+                        lat, lon = row_coordinates(row["lat"], row["lon"], path, lineno)
+                    except InvariantError as exc:
+                        raise SchemaError(str(exc)) from None
+                    table[normalize_text(row["query"])] = (lat, lon, row["normalized_address"])
         except UnicodeDecodeError:
             raise SchemaError(undecodable(path)) from None
         return cls(table)

@@ -32,6 +32,7 @@ from .errors import (
     UnparseableTimestamp,
 )
 from .fsutil import atomic_write_text, undecodable
+from .ingest import row_coordinates, row_float
 from .timeutil import UTC, format_rfc3339, parse_rfc3339
 
 TOPOLOGY_COLUMNS = ("cell_id", "site_id", "lat", "lon", "azimuth", "hor_width", "technology")
@@ -154,69 +155,44 @@ def _line_runs(handle):
         yield b"".join(pending)
 
 
-def _line_ends(run: bytes, view: np.ndarray) -> np.ndarray:
-    """Offset of the last byte of each line of ``run``, a run of whole lines."""
-    ends = view == 10
+def _scan(run: bytes, view: np.ndarray, width: int, column: int,
+          needle: Optional[bytes]) -> tuple[np.ndarray, np.ndarray]:
+    """The offset of the last byte of each line of ``run``, a run of whole
+    lines, and the indexes of the lines the row loop must parse.
+
+    A line ends at LF, CR LF or a lone CR, or at the run's last byte. Before
+    the header (``width`` 0) and without a non-empty ``needle`` every line
+    is picked. Otherwise one pass over the separators (commas and line ends)
+    gives each line's comma count and the start of its field ``column``, and
+    a line is picked if it has fewer than ``width - 1`` commas, holds a
+    quote, or its field starts with ``needle`` or with a byte that
+    ``strip()`` may remove (at most 0x20, or a UTF-8 lead byte). Any other
+    line is quote-free with at least ``width`` fields, so it cannot fail the
+    column count; and ``strip()`` removes nothing from the start of its
+    field, which does not start with ``needle``, so the stripped field is
+    not the id that ``needle`` encodes. Such a line is a row of another id, or a comment, which
+    the loop would skip. Picking too many lines is safe; missing one is not.
+    """
+    is_end = view == 10
     if b"\r" in run:
         lone = view == 13
         lone[:-1] &= view[1:] != 10
-        ends |= lone
-    ends = np.flatnonzero(ends)
-    if run[-1] not in b"\r\n":
-        ends = np.append(ends, len(run) - 1)
-    return ends
-
-
-def _candidates(run: bytes, view: np.ndarray, ends: np.ndarray, width: int,
-                needle: Optional[bytes]) -> np.ndarray:
-    """Indexes of the lines of ``run`` that the row loop must parse.
-
-    Before the header (``width`` 0) and without a non-empty ``needle`` that
-    is every line. Otherwise a line is picked if it holds ``needle``, holds
-    a quote, or has fewer than ``width - 1`` commas: a line that is none of
-    these is a quote-free row of another id, or a comment, which the loop
-    would skip. Picking too many lines is safe; missing one is not.
-    """
+        is_end |= lone
+    is_end[-1] = True  # the last line may lack its line end
     if not width or not needle:
-        return np.arange(len(ends))
-    commas = np.searchsorted(np.flatnonzero(view == 44), ends)
-    picked = np.diff(commas, prepend=0) < width - 1
-    if b'"' in run:
-        picked[np.searchsorted(ends, np.flatnonzero(view == 34))] = True
-    hits = []
-    at = run.find(needle)
-    while at >= 0:
-        hits.append(at)
-        at = run.find(needle, at + 1)
-    picked[np.searchsorted(ends, hits)] = True
-    return np.flatnonzero(picked)
-
-
-def _regular_candidates(run: bytes, view: np.ndarray, width: int, column: int,
-                        needle: bytes) -> Optional[tuple[np.ndarray, np.ndarray]]:
-    """The line ends of ``run`` and the indexes of the lines the row loop
-    must parse, if every line ends at LF (CR LF included) and has exactly
-    ``width - 1`` commas; else None.
-
-    Then the separators (commas and LFs) form a grid of ``width`` per line,
-    which gives the start of each line's field ``column`` directly. A line
-    is picked if that field starts with ``needle``, starts with a byte that
-    ``strip()`` may remove (at most 0x20, or a UTF-8 lead byte), or the line
-    holds a quote; any other line is a quote-free row of full width whose
-    field, stripped, is not ``needle``.
-    """
-    if run[-1] != 10 or (b"\r" in run and run.count(b"\r") != run.count(b"\r\n")):
-        return None
-    lf = view == 10
-    seps = np.flatnonzero(lf | (view == 44))
-    ends = seps[width - 1::width]
-    # n LFs in all, each the width-th separator of its line: no line is short or long
-    if (len(seps) != width * len(ends) or np.count_nonzero(lf) != len(ends)
-            or not np.all(view[ends] == 10)):
-        return None
-    starts = seps[column - 1::width] + 1 if column else np.concatenate(([0], ends[:-1] + 1))
-    first = view[starts]
-    picked = (first <= 0x20) | (first >= 0x80)
+        ends = np.flatnonzero(is_end)
+        return ends, np.arange(len(ends))
+    seps = np.flatnonzero(is_end | (view == 44))
+    last = np.flatnonzero(is_end[seps])  # each line's end, as an index into seps
+    ends = seps[last]
+    first = np.concatenate(([0], last[:-1] + 1))  # each line's first separator in seps
+    picked = last - first < width - 1
+    if column:  # a short line's index may pass its end; it is picked anyway
+        starts = seps[np.minimum(first + column - 1, len(seps) - 1)] + 1
+    else:
+        starts = np.concatenate(([0], ends[:-1] + 1))
+    lead = view[np.minimum(starts, len(run) - 1)]
+    picked |= (lead <= 0x20) | (lead >= 0x80)
     if len(needle) <= len(run):
         # each byte offset as the start of a len(needle)-byte window of run; a
         # field too near the end reads the last window, at worst a needless pick
@@ -246,18 +222,11 @@ def _csv_rows(path: str | Path, columns: Sequence[str], match: Optional[str] = N
     blocks of ``_BLOCK_BYTES``, each checked as UTF-8 as a whole, and only
     the lines the scan picks are decoded and split. With ``match``, only
     rows whose first named column, stripped, equals it are yielded; every
-    row's column count is still checked. A quote-free line holds its fields
-    as substrings, so one that cannot hold ``match`` is skipped on its raw
-    bytes. Lines holding a quote are split as usual, since ``csv`` reads
-    ``"S0"26C`` as ``S026C``.
-
-    With ``match``, a block after the header whose lines all end at LF or
-    CR LF and hold the header's comma count is regular: one pass over its
-    separators places each line's first named column, and
-    ``_regular_candidates`` picks the lines whose field there may be
-    ``match``. Any other block (a comment, blank, short or long line, or a
-    lone CR) goes through ``_line_ends`` and ``_candidates``, which pick the
-    short lines and those holding ``match`` anywhere.
+    row's column count is still checked. After the header, ``_scan`` picks
+    the lines whose first named column may be ``match``, judged on the raw
+    bytes where that field starts, and the short lines and those holding a
+    quote, which are split as usual since ``csv`` reads ``"S0"26C`` as
+    ``S026C``; every other line is skipped undecoded.
     """
     needle = None if match is None else match.encode("utf-8", "surrogatepass")
     header = None
@@ -272,12 +241,7 @@ def _csv_rows(path: str | Path, columns: Sequence[str], match: Optional[str] = N
                     run.decode("utf-8")  # a bad byte fails the read in any row
                 while run:
                     view = np.frombuffer(run, np.uint8)
-                    scan = (_regular_candidates(run, view, width, column, needle)
-                            if width and needle else None)
-                    if scan is None:
-                        ends = _line_ends(run, view)
-                        scan = ends, _candidates(run, view, ends, width, needle)
-                    ends, picked = scan
+                    ends, picked = _scan(run, view, width, column, needle)
                     bounds = np.concatenate(([0], ends + 1))  # line k is bounds[k]:bounds[k + 1]
                     rest = b""
                     for k, start, stop in zip(picked.tolist(), bounds[picked].tolist(),
@@ -309,18 +273,6 @@ def _csv_rows(path: str | Path, columns: Sequence[str], match: Optional[str] = N
         raise SchemaError(f"{path}: no header row")
 
 
-def _row_float(text: str, key: str, path, lineno: int) -> float:
-    try:
-        if "_" in text:  # float() takes Python's digit separators; no export means them
-            raise ValueError
-        value = float(text)
-    except ValueError:
-        raise InvariantError(f"{path} line {lineno}: {key} is not numeric: {text!r}") from None
-    if not math.isfinite(value):
-        raise InvariantError(f"{path} line {lineno}: {key} is not finite: {text!r}")
-    return value
-
-
 def load_topology(path: str | Path) -> tuple[list[Site], list[Cell]]:
     """Load cells and derive sites by grouping rows on site_id."""
     cells: list[Cell] = []
@@ -335,16 +287,13 @@ def load_topology(path: str | Path) -> tuple[list[Site], list[Cell]]:
         if cell_id in seen:
             raise InvariantError(f"{path} line {lineno}: duplicate cell_id {cell_id!r}")
         seen.add(cell_id)
-        lat = _row_float(lat_text, "lat", path, lineno)
-        lon = _row_float(lon_text, "lon", path, lineno)
-        if not -90.0 <= lat <= 90.0 or not -180.0 <= lon <= 180.0:
-            raise InvariantError(f"{path} line {lineno}: coordinates out of range")
+        lat, lon = row_coordinates(lat_text, lon_text, path, lineno)
         try:
             cell = Cell(
                 cell_id=cell_id,
                 site_id=site_id,
-                azimuth=_row_float(azimuth_text, "azimuth", path, lineno),
-                hor_width=_row_float(width_text, "hor_width", path, lineno),
+                azimuth=row_float(azimuth_text, "azimuth", path, lineno),
+                hor_width=row_float(width_text, "hor_width", path, lineno),
                 technology=technology.strip(),
             )
         except InvariantError as exc:
@@ -410,7 +359,7 @@ def load_kpis(path: str | Path, cell_id: Optional[str] = None) -> list[KpiSeries
                 us = stamp_us[stamp] = (parse_rfc3339(stamp) - _EPOCH) // _MICROSECOND
             except UnparseableTimestamp as exc:
                 raise UnparseableTimestamp(f"{path} line {lineno}: {exc}") from None
-        value = _row_float(value_text, "value", path, lineno) if value_text.strip() else math.nan
+        value = row_float(value_text, "value", path, lineno) if value_text.strip() else math.nan
         if us in bucket:
             raise InvariantError(f"{path} line {lineno}: duplicate sample for {key} at {stamp}")
         bucket[us] = value

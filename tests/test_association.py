@@ -282,6 +282,7 @@ def _near(pairs):
     return [(event.event_id, [(site.site_id, d) for site, d in close]) for event, close in pairs]
 
 
+@pytest.mark.seeded
 @settings(max_examples=300, deadline=None)
 @given(_association_cases(), st.none() | st.integers(0, 2**32 - 1))
 def test_scoped_association_matches_scalar_reference(case, seed):
@@ -315,6 +316,7 @@ def _shared_point_cases(draw):
     return shared, sites, params
 
 
+@pytest.mark.seeded
 @settings(max_examples=300, deadline=None)
 @given(_shared_point_cases(), st.none() | st.integers(0, 2**32 - 1))
 @example(([make_event(raw_id="a", lat=lat, lon=lon) for lat, lon in
@@ -438,6 +440,13 @@ def test_eaw_category_duration_via_params():
     event = make_event(start=T0 + timedelta(hours=20), category="sport")
     eaw = build_eaw(event, series, default_duration=params.duration_for(event.category))
     assert eaw.n_end == 27  # 20 + 6 rounded + 1 margin
+
+
+@pytest.mark.parametrize("hours", [0, -3])
+def test_eaw_params_reject_a_non_positive_category_duration(hours):
+    with pytest.raises(ConfigError) as info:
+        EawParams(category_durations={"musical": timedelta(hours=4), "sport": timedelta(hours=hours)})
+    assert str(info.value) == "event duration of category 'sport' must be positive"
 
 
 # --- social indicator ----------------------------------------------------------

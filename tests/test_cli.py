@@ -756,6 +756,7 @@ def _associations(draw):
     return events, closes, cells_by_site
 
 
+@pytest.mark.seeded
 @settings(max_examples=200, deadline=None)
 @given(drawn=_associations(), stamp=st.booleans())
 def test_association_report_matches_stdlib_encoder(drawn, stamp):
@@ -786,6 +787,7 @@ def _outcome_of(function, value):
         return ValueError, str(exc)
 
 
+@pytest.mark.seeded
 @settings(max_examples=2000, deadline=None)
 @given(st.floats())
 @example(1e-4)
@@ -1206,6 +1208,39 @@ def test_undecodable_input_exits_1_naming_the_file(t1_dir, tmp_path, capsys, nam
     capsys.readouterr()
     assert main([stage[0], "--config", config, *stage[1:]]) == 1
     assert f"{bundle / name} line 2: not valid UTF-8" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("row, words", [
+    ("nowhere,95,2,Y", "coordinates out of range"),
+    ("nowhere,abc,2,Y", "lat is not numeric: 'abc'"),
+], ids=["out-of-range", "unreadable"])
+def test_a_bad_geocoder_table_row_exits_1_though_no_event_uses_it(t1_dir, tmp_path, capsys,
+                                                                  row, words):
+    bundle = _bundle_copy(t1_dir, tmp_path)
+    _add_geocoder_table(bundle)
+    with open(bundle / "geo.csv", "a", encoding="utf-8") as handle:
+        handle.write(row + "\n")
+    capsys.readouterr()
+    assert main(["ingest", "--config", str(bundle / "config.json")]) == 1
+    assert f"error: {bundle / 'geo.csv'} line 3: {words}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("hours", [0, -3])
+def test_non_positive_category_duration_exits_1_at_every_stage(t1_dir, tmp_path, capsys, hours):
+    # With these durations analyze on CELL_1A used to exit 0: at 0 ranking
+    # VENUE_M first, at -3 dropping VENUE_M's event as out of range.
+    bundle = _bundle_copy(t1_dir, tmp_path)
+    config = str(bundle / "config.json")
+    assert main(["ingest", "--config", config]) == 0
+    assert main(["filter", "--config", config]) == 0
+    raw = json.loads((bundle / "config.json").read_text())
+    raw["eaw"]["category_durations_hours"] = dict.fromkeys(("musical", "political", "sport"), hours)
+    (bundle / "config.json").write_text(json.dumps(raw))
+    capsys.readouterr()
+    for stage in (["ingest"], ["filter"], ["associate"], ["analyze", "--cell", "CELL_1A"]):
+        assert main([stage[0], "--config", config, *stage[1:]]) == 1
+        assert ("error: event duration of category 'musical' must be positive"
+                in capsys.readouterr().err)
 
 
 def test_undecodable_scenario_spec_exits_1(tmp_path, capsys):

@@ -482,6 +482,26 @@ def test_fixture_geocoder_from_csv(tmp_path):
     assert geocoder.resolve("unknown") is None
 
 
+@pytest.mark.parametrize("row, words", [
+    ("A,inf,1,x", "lat is not finite: 'inf'"),
+    ("B,95,2,y", "coordinates out of range"),
+    ("C,1_0,3,z", "lat is not numeric: '1_0'"),
+    ("D,abc,3,z", "lat is not numeric: 'abc'"),
+    ("E,1,nan,z", "lon is not finite: 'nan'"),
+    ("F,1,-181,z", "coordinates out of range"),
+    ("G,1,2", "expected 4 fields"),
+    ("H,1,2,z,w", "expected 4 fields"),
+], ids=["lat-inf", "lat-95", "lat-separator", "lat-text", "lon-nan", "lon-181", "short", "long"])
+def test_fixture_geocoder_table_is_checked_when_loaded(tmp_path, row, words):
+    # the bad row is on physical line 5, after a quoted field that spans two lines
+    table = tmp_path / "geo.csv"
+    table.write_text(f'query,lat,lon,normalized_address\nok,36.72,-4.42,Fine\n'
+                     f'"two\nlines",1,2,X\n{row}\n', encoding="utf-8")
+    with pytest.raises(SchemaError) as info:
+        FixtureGeocoder.from_csv(table)
+    assert str(info.value) == f"{table} line 5: {words}"
+
+
 def test_http_geocoder(http_server):
     http_server.body = json.dumps(
         {"lat": 36.72, "lon": -4.42, "normalized_address": "Avenida X 1"}).encode()
@@ -634,6 +654,7 @@ _MIXED_TEXT = st.text(alphabet=st.one_of(
     st.characters()))
 
 
+@pytest.mark.seeded
 @settings(max_examples=300)
 @given(st.one_of(_ASCII_TEXT, _MIXED_TEXT))
 @example("\x0bRock\x0cFest\x1c2017\x1d\x1e\x1f\x7f!")
@@ -703,6 +724,7 @@ def _bounded_levenshtein(a: str, b: str, k: int) -> int:
     return _masked_levenshtein(_char_masks(a), len(a), b, k)
 
 
+@pytest.mark.seeded
 @settings(max_examples=500)
 @given(_strings_and_cutoff())
 @example(("", "", 0))
@@ -717,6 +739,7 @@ def test_bounded_levenshtein_matches_full_table(case):
     assert _bounded_levenshtein(a, b, k) == min(_levenshtein(a, b), k + 1)
 
 
+@pytest.mark.seeded
 @settings(max_examples=500)
 @given(_strings_and_cutoff())
 @example(("ab", "xyz", 4))  # shorter than k + 1 pieces: empty pieces occur in every string
@@ -744,6 +767,7 @@ def _one_edit_apart(draw):
     return a, a[:i] + middle + a[i + (op != "ins"):], k
 
 
+@pytest.mark.seeded
 @settings(max_examples=500)
 @given(st.one_of(_strings_and_cutoff(), _one_edit_apart()))
 @example(("", "", 0))
@@ -760,6 +784,7 @@ def test_one_edit_test_holds_exactly_at_distance_one(case):
     assert _one_edit(a, b) == _one_edit(b, a) == (_levenshtein(a, b) == 1)
 
 
+@pytest.mark.seeded
 @settings(max_examples=500)
 @given(_strings_and_cutoff())
 @example(("abcdefgh", "efghabcd", 2))  # pieces occur, but none near its own offset
@@ -860,6 +885,7 @@ def _near_duplicate_events(draw):
     return threshold, events
 
 
+@pytest.mark.seeded
 @settings(max_examples=300)
 @given(_near_duplicate_events())
 def test_fuse_matches_full_distance_oracle(case):
@@ -911,6 +937,7 @@ def _feed_shaped_events(draw):
     return threshold, priorities, events
 
 
+@pytest.mark.seeded
 @settings(max_examples=300, deadline=None)
 @given(_feed_shaped_events())
 def test_fuse_feed_shaped_events_match_full_distance_oracle(case):
@@ -1134,6 +1161,7 @@ def _rendered_events(draw):
         tuple(draw(st.lists(_RENDER_TEXT, max_size=3))))
 
 
+@pytest.mark.seeded
 @settings(max_examples=300, deadline=None)
 @given(events=st.lists(_rendered_events(), max_size=4))
 def test_write_events_matches_the_stdlib_encoder(events):
@@ -1395,6 +1423,7 @@ def _canonical_line(draw):
     return draw(_PADS) + text + draw(_PADS | st.sampled_from([" x", "{}", "1"]))
 
 
+@pytest.mark.seeded
 @settings(max_examples=300, deadline=None)
 @example(lines=['{"EVENT_ID": "s/a", "NAME": "", "START_TIME": "2017-03-01T20:00:00Z", '
                 '"END_TIME": "soon", "RAW_ID": "a"}'], ends=["\n"] * 6, final=True)

@@ -461,6 +461,7 @@ def _outcome(load, path):
         return type(exc), str(exc)
 
 
+@pytest.mark.seeded
 @settings(max_examples=300, deadline=None)
 @given(table=_kpi_tables(), data=st.data())
 def test_load_kpis_matches_reference(tmp_path_factory, table, data):
@@ -522,6 +523,7 @@ def _mutate(rows, data, mutation):
 _MUTATION_NAMES = sorted(_MUTATIONS) + ["short_row", "open_quote", "duplicate", "off_grid"]
 
 
+@pytest.mark.seeded
 @settings(max_examples=300, deadline=None)
 @given(table=_kpi_tables(), data=st.data(), mutation=st.sampled_from(_MUTATION_NAMES))
 def test_load_kpis_errors_match_reference(tmp_path_factory, table, data, mutation):
@@ -576,6 +578,7 @@ def _scoped_field(data, forms=("plain", "quoted", "split")):
     return render
 
 
+@pytest.mark.seeded
 @settings(max_examples=300, deadline=None)
 @given(table=_kpi_tables(cells=_SCOPED_CELLS, max_keys=4), data=st.data(),
        cell=st.sampled_from(_SCOPED_CELLS + ("S02",)),
@@ -665,6 +668,7 @@ def _rows_outcome(rows):
 _EDGE_CELLS = _SCOPED_CELLS + ("Célula_1",)
 
 
+@pytest.mark.seeded
 @settings(max_examples=150, deadline=None)
 @given(table=_kpi_tables(cells=_EDGE_CELLS, max_keys=4), data=st.data(),
        cell=st.sampled_from(_EDGE_CELLS + ("S02", "é", None)),
@@ -697,6 +701,15 @@ def test_scoped_load_kpis_block_edges(tmp_path_factory, table, data, cell, mutat
         assert _rows_outcome(network._csv_rows(path, KPI_COLUMNS, cell)) == expected
 
 
+def _parsed_lines(monkeypatch):
+    """The lines that reach ``_split_line``, in order."""
+    parsed = []
+    split_line = network._split_line
+    monkeypatch.setattr(network, "_split_line", lambda line: parsed.append(line) or split_line(line))
+    return parsed
+
+
+@pytest.mark.seeded
 def test_scoped_load_kpis_parses_only_candidate_lines(tmp_path, monkeypatch):
     # 20,000 rows, 10 of them of C1, spread over several blocks. Only those,
     # the header, comment and blank lines and a quoted row reach the line
@@ -708,39 +721,24 @@ def test_scoped_load_kpis_parses_only_candidate_lines(tmp_path, monkeypatch):
         lines.append(f"{cell},M,{format_rfc3339(T0 + timedelta(hours=i // 100))},{i}\n")
     path = _write(tmp_path, "k.csv", "".join(lines))
     assert path.stat().st_size > 4 * network._BLOCK_BYTES
-    parsed = []
-    split_line = network._split_line
-    monkeypatch.setattr(network, "_split_line", lambda line: parsed.append(line) or split_line(line))
+    parsed = _parsed_lines(monkeypatch)
     [series] = load_kpis(path, "C1")
     assert series.cell_id == "C1" and np.count_nonzero(~np.isnan(series.values)) == 10
     assert len(parsed) <= 10 + 5
     assert sum(line.startswith("C1,") for line in parsed) == 10
 
 
-# A block whose every line ends at LF or CR LF and has the header's comma
-# count takes the regular-block path: one separator scan gives each line's id
-# field, and only lines whose id field starts with the cell's bytes, with a
-# byte ``strip()`` may remove, or that hold a quote are parsed. Any other
-# block falls back to the general scan, which the properties above cover.
+# After the header, a scoped scan places each line's id field on its commas
+# and line ends, and parses only the short lines, the lines that hold a
+# quote, and those whose id field starts with the cell's bytes or with a
+# byte ``strip()`` may remove. The properties above mix in comment, blank
+# and short lines and lone CRs; the property below holds regular files,
+# whose every line is a row, and the tests after it count parsed lines.
 
 _REGULAR_CELLS = ("S026C", "S026CX", "XS026C", 'S0"26C', "S\u00e9")
 
 
-def _scan_paths(monkeypatch):
-    """Count the blocks each path of the scoped scan takes after the header:
-    ``regular`` and ``fallback``."""
-    taken = {"regular": 0, "fallback": 0}
-    regular = network._regular_candidates
-
-    def counted_regular(*args):
-        scan = regular(*args)
-        taken["regular" if scan is not None else "fallback"] += 1
-        return scan
-
-    monkeypatch.setattr(network, "_regular_candidates", counted_regular)
-    return taken
-
-
+@pytest.mark.seeded
 @settings(max_examples=200, deadline=None)
 @given(table=_kpi_tables(cells=_REGULAR_CELLS, max_keys=4), data=st.data(),
        cell=st.sampled_from(_REGULAR_CELLS + ("S02", "S026")),
@@ -748,8 +746,7 @@ def _scan_paths(monkeypatch):
 def test_scoped_scan_of_regular_files(tmp_path_factory, table, data, cell, block):
     # Regular files: no comment or blank line and no comma inside a field,
     # with LF or CR LF line ends, ids padded or after a no-break space, and
-    # plain, quoted or partly quoted fields. Every block after the header
-    # takes the regular path, and the rows are the reference's.
+    # plain, quoted or partly quoted fields. The rows are the reference's.
     header, rows = table
     nbsp = st.sampled_from(["", "\u00a0"])  # which strip() removes, as it does the pad
     rows = [dict(row, cell_id=data.draw(nbsp) + row["cell_id"], extra=row["extra"].replace(",", ""))
@@ -762,34 +759,52 @@ def test_scoped_scan_of_regular_files(tmp_path_factory, table, data, cell, block
     expected = _rows_outcome(_reference_csv_rows_scoped(path, KPI_COLUMNS, cell))
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(network, "_BLOCK_BYTES", block)
-        taken = _scan_paths(patch)
         assert _rows_outcome(network._csv_rows(path, KPI_COLUMNS, cell)) == expected
-        assert taken["fallback"] == 0 < taken["regular"]
         scoped = _outcome(lambda p: load_kpis(p, cell), path)
     full = _outcome(load_kpis, path)
     assert isinstance(full, list)
     assert scoped == [s for s in full if s[0] == cell]
 
 
-def test_regular_file_takes_the_regular_path_on_every_block(tmp_path, monkeypatch):
-    # 20,000 rows in CR LF lines over several blocks, 10 of them of C1: every
-    # block after the header's takes the regular path, and only the C1 rows
-    # and the row whose id is padded reach the line parser.
+def test_scoped_read_of_a_regular_file_parses_only_the_cell_rows(tmp_path, monkeypatch):
+    # 20,000 rows in CR LF lines over several blocks, 10 of them of C1: only
+    # the header, the C1 rows and the row whose id is padded reach the line
+    # parser.
     lines = ["cell_id,metric,timestamp,value\r\n"]
     for i in range(20_000):
         cell = "C1" if i % 2_000 == 0 else " X07" if i == 7 else f"X{i % 100:02d}"
         lines.append(f"{cell},M,{format_rfc3339(T0 + timedelta(hours=i // 100))},{i}\r\n")
     path = _write(tmp_path, "k.csv", "".join(lines))
     assert path.stat().st_size > 4 * network._BLOCK_BYTES
-    taken = _scan_paths(monkeypatch)
-    parsed = []
-    split_line = network._split_line
-    monkeypatch.setattr(network, "_split_line", lambda line: parsed.append(line) or split_line(line))
+    parsed = _parsed_lines(monkeypatch)
     [series] = load_kpis(path, "C1")
     assert np.count_nonzero(~np.isnan(series.values)) == 10
-    blocks = -(-path.stat().st_size // network._BLOCK_BYTES)
-    assert taken == {"regular": blocks, "fallback": 0}
     assert len(parsed) == 1 + 10 + 1  # the header, the C1 rows and " X07"
+    assert sum(line.startswith("C1,") for line in parsed) == 10
+
+
+@pytest.mark.parametrize("end, junk", [("\r", ()), ("\n", ("# C1 here\n", "\n"))],
+                         ids=["lone-cr", "comment-and-blank"])
+def test_scoped_read_of_an_irregular_file_judges_the_id_field_only(tmp_path, monkeypatch,
+                                                                   end, junk):
+    # 20,000 rows over several blocks, with lone-CR line ends or with a comment
+    # and a blank line every 1,000 rows. "C1" is also a part of the ids XC1
+    # and of the metric C1_LOAD, but only the header, the comment and blank
+    # lines and the 10 C1 rows reach the line parser.
+    lines = ["cell_id,metric,timestamp,value" + end]
+    for i in range(20_000):
+        if i % 1_000 == 0:
+            lines.extend(junk)
+        cell = "C1" if i % 2_000 == 0 else "XC1" if i % 7 == 0 else f"X{i % 100:02d}"
+        metric = "C1_LOAD" if i % 3 == 0 else "M"
+        lines.append(f"{cell},{metric},{format_rfc3339(T0 + timedelta(hours=i // 100))},{i}{end}")
+    path = _write(tmp_path, "k.csv", "".join(lines))
+    assert path.stat().st_size > 4 * network._BLOCK_BYTES
+    parsed = _parsed_lines(monkeypatch)
+    series = load_kpis(path, "C1")
+    assert sorted(s.metric for s in series) == ["C1_LOAD", "M"]
+    assert sum(np.count_nonzero(~np.isnan(s.values)) for s in series) == 10
+    assert len(parsed) == 1 + len(junk) * 20 + 10
     assert sum(line.startswith("C1,") for line in parsed) == 10
 
 
@@ -809,6 +824,7 @@ _SERIES_NAMES = st.one_of(
     st.text(st.characters(blacklist_categories=("Cs",)), max_size=8))
 
 
+@pytest.mark.seeded
 @settings(max_examples=200, deadline=None)
 @given(st.lists(
     st.tuples(_SERIES_NAMES, _SERIES_NAMES,
@@ -930,6 +946,7 @@ _MEDIAN_VALUES = st.one_of(
     st.floats(allow_nan=False, allow_infinity=False))
 
 
+@pytest.mark.seeded
 @settings(max_examples=200, deadline=None)
 @given(kind=st.sampled_from(list(CYCLE_HOURS)), data=st.data())
 def test_normalize_periodic_matches_median_loop(kind, data):

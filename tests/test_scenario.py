@@ -95,6 +95,7 @@ _RNG_CALLS = st.one_of(
     st.tuples(st.sampled_from(["uniforms", "normals"]), st.integers(1, 150)))
 
 
+@pytest.mark.seeded
 @settings(max_examples=200, deadline=None)
 @given(seed=st.one_of(st.sampled_from([0, 2**64 - 1, -1, -(2**63), 2**64]),
                       st.integers(-(2**70), 2**70)),
